@@ -91,7 +91,7 @@ int main(int argc, char** argv) {
 
     cycles_total = 0;
     for (const auto& o : outcomes) {
-      if (!o.ok) {
+      if (o.status != campaign::RunStatus::kOk) {
         std::fprintf(stderr, "run %zu (%s) failed: %s\n", o.index, o.name.c_str(),
                      o.error.c_str());
         deterministic = false;

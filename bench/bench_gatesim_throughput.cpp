@@ -3,19 +3,16 @@
 // "Bit-parallel power emulation").
 //
 // Two measurements, both written to BENCH_gatesim.json (schema
-// "ahbpower.bench_gatesim.v1") and printed as a table:
+// "ahbpower.bench_gatesim.v2") and printed as a table:
 //
 //  * raw engine throughput: gate evaluations per second for the scalar
-//    GateSim vs lane-gate evaluations per second for BitSim (one 64-lane
-//    eval of a G-gate netlist counts 64*G), on the paper's three
-//    characterized structures. This isolates the engine speedup from
-//    characterization host code.
-//  * characterization wall time: charlib's decoder/mux/arbiter flows run
-//    scalar vs bit-parallel at the paper's shapes and at stress shapes,
-//    with per-flow and aggregate speedups. End-to-end gains are smaller
-//    than the raw engine ratio because stimulus generation, sample
-//    assembly and the least-squares fit are engine-independent
-//    (Amdahl's law); both numbers are recorded.
+//    reference GateSim vs lane-gate evaluations per second for BitSim
+//    (one 64-lane eval of a G-gate netlist counts 64*G), on the paper's
+//    three characterized structures. This isolates the engine speedup
+//    from characterization host code.
+//  * characterization wall time: charlib's decoder/mux/arbiter flows
+//    (which run on BitSim) at the paper's shapes and at stress shapes,
+//    per flow and in aggregate.
 //
 //   bench_gatesim_throughput [--smoke] [--out <path>]
 //
@@ -108,27 +105,15 @@ Throughput measure_throughput(std::string name, const gate::Netlist& nl,
 struct FlowTiming {
   std::string name;
   unsigned samples = 0;
-  double scalar_ms = 0.0;
   double bitparallel_ms = 0.0;
-  [[nodiscard]] double speedup() const {
-    return bitparallel_ms > 0 ? scalar_ms / bitparallel_ms : 0.0;
-  }
 };
 
 template <class Flow>
 FlowTiming time_flow(std::string name, unsigned samples, unsigned reps,
                      Flow&& flow) {
-  FlowTiming t;
-  t.name = std::move(name);
-  t.samples = samples;
-  for (const charlib::Engine engine :
-       {charlib::Engine::kScalar, charlib::Engine::kBitParallel}) {
-    const auto t0 = clock_type::now();
-    for (unsigned r = 0; r < reps; ++r) flow(engine);
-    const double ms = seconds_since(t0) * 1e3 / reps;
-    (engine == charlib::Engine::kScalar ? t.scalar_ms : t.bitparallel_ms) = ms;
-  }
-  return t;
+  const auto t0 = clock_type::now();
+  for (unsigned r = 0; r < reps; ++r) flow();
+  return {std::move(name), samples, seconds_since(t0) * 1e3 / reps};
 }
 
 // --- JSON ------------------------------------------------------------------
@@ -138,7 +123,7 @@ void write_json(const std::filesystem::path& path, bool smoke,
                 const std::vector<FlowTiming>& flows) {
   if (path.has_parent_path()) std::filesystem::create_directories(path.parent_path());
   std::ofstream os(path);
-  os << "{\n  \"schema\": \"ahbpower.bench_gatesim.v1\",\n"
+  os << "{\n  \"schema\": \"ahbpower.bench_gatesim.v2\",\n"
      << "  \"name\": \"gatesim_throughput\",\n"
      << "  \"lanes\": " << gate::BitSim::kLanes << ",\n"
      << "  \"smoke\": " << (smoke ? "true" : "false") << ",\n";
@@ -162,21 +147,16 @@ void write_json(const std::filesystem::path& path, bool smoke,
        << (i + 1 < tp.size() ? "," : "") << "\n";
   }
   os << "  ],\n  \"characterization\": [\n";
-  double total_scalar = 0.0, total_bitpar = 0.0;
+  double total_ms = 0.0;
   for (std::size_t i = 0; i < flows.size(); ++i) {
     const FlowTiming& f = flows[i];
-    total_scalar += f.scalar_ms;
-    total_bitpar += f.bitparallel_ms;
+    total_ms += f.bitparallel_ms;
     os << "    {\"name\": \"" << telemetry::json_escape(f.name)
        << "\", \"samples\": " << f.samples
-       << ", \"scalar_ms\": " << num(f.scalar_ms)
-       << ", \"bitparallel_ms\": " << num(f.bitparallel_ms)
-       << ", \"speedup\": " << num(f.speedup()) << "}"
+       << ", \"bitparallel_ms\": " << num(f.bitparallel_ms) << "}"
        << (i + 1 < flows.size() ? "," : "") << "\n";
   }
-  os << "  ],\n  \"aggregate\": {\"scalar_ms\": " << num(total_scalar)
-     << ", \"bitparallel_ms\": " << num(total_bitpar)
-     << ", \"speedup\": " << num(total_bitpar > 0 ? total_scalar / total_bitpar : 0.0)
+  os << "  ],\n  \"aggregate\": {\"bitparallel_ms\": " << num(total_ms)
      << "}\n}\n";
 }
 
@@ -217,45 +197,38 @@ int main(int argc, char** argv) {
                 t.ratio());
   }
 
-  // Characterization wall time, scalar vs bit-parallel.
+  // Characterization wall time on the bit-parallel engine.
   const unsigned reps = smoke ? 1 : 10;
   const unsigned paper_n = smoke ? 192 : 2000;
   const unsigned stress_n = smoke ? 256 : 8192;
   const gate::Technology tech = gate::Technology::default_2003();
   std::vector<FlowTiming> flows;
-  flows.push_back(time_flow("decoder/16o", paper_n, reps, [&](charlib::Engine e) {
-    (void)charlib::characterize_decoder(16, paper_n, 1234, tech, e);
+  flows.push_back(time_flow("decoder/16o", paper_n, reps, [&] {
+    (void)charlib::characterize_decoder(16, paper_n, 1234, tech);
   }));
-  flows.push_back(time_flow("mux/32x4", paper_n, reps, [&](charlib::Engine e) {
-    (void)charlib::characterize_mux(32, 4, paper_n, 99, tech, e);
+  flows.push_back(time_flow("mux/32x4", paper_n, reps, [&] {
+    (void)charlib::characterize_mux(32, 4, paper_n, 99, tech);
   }));
-  flows.push_back(time_flow("arbiter/8m", paper_n, reps, [&](charlib::Engine e) {
-    (void)charlib::characterize_arbiter(8, paper_n, 555, tech, e);
+  flows.push_back(time_flow("arbiter/8m", paper_n, reps, [&] {
+    (void)charlib::characterize_arbiter(8, paper_n, 555, tech);
   }));
-  flows.push_back(time_flow("decoder/64o-stress", stress_n, reps,
-                            [&](charlib::Engine e) {
-    (void)charlib::characterize_decoder(64, stress_n, 1234, tech, e);
+  flows.push_back(time_flow("decoder/64o-stress", stress_n, reps, [&] {
+    (void)charlib::characterize_decoder(64, stress_n, 1234, tech);
   }));
-  flows.push_back(time_flow("mux/32x16-stress", stress_n, reps,
-                            [&](charlib::Engine e) {
-    (void)charlib::characterize_mux(32, 16, stress_n, 99, tech, e);
+  flows.push_back(time_flow("mux/32x16-stress", stress_n, reps, [&] {
+    (void)charlib::characterize_mux(32, 16, stress_n, 99, tech);
   }));
-  flows.push_back(time_flow("arbiter/16m-stress", stress_n, reps,
-                            [&](charlib::Engine e) {
-    (void)charlib::characterize_arbiter(16, stress_n, 555, tech, e);
+  flows.push_back(time_flow("arbiter/16m-stress", stress_n, reps, [&] {
+    (void)charlib::characterize_arbiter(16, stress_n, 555, tech);
   }));
 
-  std::printf("\n%-20s %8s %12s %14s %8s\n", "characterization", "samples",
-              "scalar ms", "bitparallel ms", "speedup");
-  double total_scalar = 0.0, total_bitpar = 0.0;
+  std::printf("\n%-20s %8s %14s\n", "characterization", "samples", "bitparallel ms");
+  double total_ms = 0.0;
   for (const FlowTiming& f : flows) {
-    total_scalar += f.scalar_ms;
-    total_bitpar += f.bitparallel_ms;
-    std::printf("%-20s %8u %12.3f %14.3f %7.2fx\n", f.name.c_str(), f.samples,
-                f.scalar_ms, f.bitparallel_ms, f.speedup());
+    total_ms += f.bitparallel_ms;
+    std::printf("%-20s %8u %14.3f\n", f.name.c_str(), f.samples, f.bitparallel_ms);
   }
-  std::printf("%-20s %8s %12.3f %14.3f %7.2fx\n", "aggregate", "", total_scalar,
-              total_bitpar, total_bitpar > 0 ? total_scalar / total_bitpar : 0.0);
+  std::printf("%-20s %8s %14.3f\n", "aggregate", "", total_ms);
 
   write_json(out, smoke, tp, flows);
   std::printf("\nwrote %s\n", out.string().c_str());

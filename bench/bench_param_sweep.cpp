@@ -46,7 +46,7 @@ campaign::RunSpec mux_spec(unsigned width, unsigned n_inputs, unsigned samples) 
 }
 
 double gate_mean(const campaign::RunOutcome& o) {
-  return o.ok ? o.report.metrics.at("gate_mean") : -1.0;
+  return o.status == campaign::RunStatus::kOk ? o.report.metrics.at("gate_mean") : -1.0;
 }
 
 }  // namespace

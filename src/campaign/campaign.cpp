@@ -86,7 +86,6 @@ void execute(const RunSpec& spec, std::size_t i, RunOutcome& out,
     out.status = attempt(spec, i, out);
     out.attempts = 2;
   }
-  out.ok = out.status == RunStatus::kOk;
   out.wall_seconds =
       std::chrono::duration<double>(Clock::now() - t0).count();
 }
@@ -108,7 +107,6 @@ void emit_run_finish(telemetry::EventLog* events, const RunOutcome& out) {
 void mark_unstarted(const RunSpec& spec, std::size_t i, RunOutcome& out) {
   out.index = i;
   out.name = spec.name;
-  out.ok = false;
   out.status = RunStatus::kCancelled;
   out.attempts = 0;
   out.wall_seconds = 0.0;
@@ -479,11 +477,15 @@ std::vector<RunOutcome> Campaign::run(const std::vector<RunSpec>& specs,
     });
   }
 
-  if (threads_ <= 1 || specs.size() == 1) {
-    // Serial baseline: inline on the calling thread. Note the caller's
-    // own Kernel (if any) must not be alive -- each spec constructs one.
+  // Ticket scheduling: workers claim the next spec index until the
+  // counter runs past the end. Outcome slots are disjoint, so no
+  // synchronization beyond the counter is needed.
+  std::atomic<std::size_t> next{0};
+  const auto worker = [&](unsigned w) {
     ThreadDefaultsGuard guard(cfg_.run_budget, &cancel);
-    for (std::size_t i = 0; i < specs.size(); ++i) {
+    for (;;) {
+      const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
+      if (i >= specs.size()) return;
       if (restored[i]) continue;
       if (cancel_requested()) {
         mark_unstarted(specs[i], i, outcomes[i]);
@@ -493,50 +495,23 @@ std::vector<RunOutcome> Campaign::run(const std::vector<RunSpec>& specs,
       if (events != nullptr) {
         events->emit("run_start",
                      {field_u64("run", i), field_str("name", specs[i].name),
-                      field_u64("worker", 0)});
+                      field_u64("worker", w)});
       }
       execute(specs[i], i, outcomes[i], cfg_.retry_transient, events);
       journal.record(outcomes[i]);
       emit_run_finish(events, outcomes[i]);
     }
-    emit_campaign_finish();
-    finish_journal();
-    return outcomes;
-  }
-
-  // Ticket scheduling: workers claim the next spec index until the
-  // counter runs past the end. Outcome slots are disjoint, so no
-  // synchronization beyond the counter is needed.
-  std::atomic<std::size_t> next{0};
+  };
   const unsigned n_workers =
       static_cast<unsigned>(std::min<std::size_t>(threads_, specs.size()));
-  {
+  if (n_workers == 1) {
+    // Serial baseline: inline on the calling thread. Note the caller's
+    // own Kernel (if any) must not be alive -- each spec constructs one.
+    worker(0);
+  } else {
     std::vector<std::jthread> pool;
     pool.reserve(n_workers);
-    for (unsigned w = 0; w < n_workers; ++w) {
-      pool.emplace_back([&, w] {
-        ThreadDefaultsGuard guard(cfg_.run_budget, &cancel);
-        for (;;) {
-          const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-          if (i >= specs.size()) return;
-          if (restored[i]) continue;
-          if (cancel_requested()) {
-            mark_unstarted(specs[i], i, outcomes[i]);
-            emit_run_finish(events, outcomes[i]);
-            continue;
-          }
-          if (events != nullptr) {
-            events->emit(
-                "run_start",
-                {field_u64("run", i), field_str("name", specs[i].name),
-                 field_u64("worker", w)});
-          }
-          execute(specs[i], i, outcomes[i], cfg_.retry_transient, events);
-          journal.record(outcomes[i]);
-          emit_run_finish(events, outcomes[i]);
-        }
-      });
-    }
+    for (unsigned w = 0; w < n_workers; ++w) pool.emplace_back(worker, w);
   }  // jthread joins here; all slots are written before we return.
   emit_campaign_finish();
   finish_journal();
@@ -587,7 +562,6 @@ void run_process_pool(const Campaign::Config& cfg, unsigned threads,
     }
     out.index = child.index;
     out.name = spec.name;
-    out.ok = false;
     out.wall_seconds = wall;
     out.attempts = child.spawns;
     if (child.killed_cancel) {

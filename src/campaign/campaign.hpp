@@ -88,10 +88,9 @@ enum class RunStatus : std::uint8_t {
 struct RunOutcome {
   std::size_t index = 0;  ///< position in the submitted spec vector
   std::string name;
-  PowerReport report;     ///< valid only when ok
-  bool ok = false;        ///< status == kOk (kept for existing callers)
+  PowerReport report;     ///< valid only when status == kOk
   RunStatus status = RunStatus::kFailed;
-  /// Context-prefixed exception text when !ok:
+  /// Context-prefixed exception text when status != kOk:
   /// "spec[<index>] <name>: <what>".
   std::string error;
   double wall_seconds = 0.0;  ///< measured even for degraded outcomes
@@ -104,14 +103,6 @@ struct RunOutcome {
   bool resumed = false;
 };
 
-/// A fixed thread pool that executes RunSpecs and gathers RunOutcomes.
-///
-/// Scheduling is a single atomic ticket counter (no work stealing, no
-/// queues): each worker claims the next unclaimed spec index until none
-/// remain. Each outcome is written to its own pre-allocated slot, so
-/// the result vector is ordered by spec index independent of completion
-/// order. threads() == 1 executes inline on the calling thread -- the
-/// serial baseline path.
 /// Where a RunSpec executes.
 enum class Isolation : std::uint8_t {
   /// In-process, on a pool thread (fastest; a hard crash kills the
@@ -127,6 +118,15 @@ enum class Isolation : std::uint8_t {
   kProcess,
 };
 
+/// A fixed thread pool that executes RunSpecs and gathers RunOutcomes.
+///
+/// Scheduling is a single atomic ticket counter (no work stealing, no
+/// queues): each worker claims the next unclaimed spec index until none
+/// remain. Each outcome is written to its own pre-allocated slot, so
+/// the result vector is ordered by spec index independent of completion
+/// order. Under kThread a single worker (threads() == 1, or a one-spec
+/// campaign) runs the same claim loop inline on the calling thread --
+/// the serial baseline path.
 class Campaign {
 public:
   struct Config {
@@ -200,7 +200,7 @@ public:
 
   /// Runs every spec and returns outcomes ordered by spec index. A spec
   /// that throws, exhausts its budget or is cancelled is captured in
-  /// its outcome (ok = false, status says how); the campaign itself
+  /// its outcome (status != kOk says how); the campaign itself
   /// always completes.
   [[nodiscard]] std::vector<RunOutcome> run(const std::vector<RunSpec>& specs) const;
 

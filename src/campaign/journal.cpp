@@ -224,7 +224,6 @@ bool decode_outcome(std::string_view payload, RunOutcome& out) {
   if (status > static_cast<std::uint8_t>(RunStatus::kCrashed)) return false;
   out.index = static_cast<std::size_t>(index);
   out.status = static_cast<RunStatus>(status);
-  out.ok = out.status == RunStatus::kOk;
   out.term_signal = static_cast<int>(signal);
   out.attempts = attempts;
 

@@ -21,7 +21,7 @@ void write_campaign_json(std::ostream& os,
   double max_e = 0.0;
   bool any_ok = false;
   for (const RunOutcome& o : outcomes) {
-    if (!o.ok) {
+    if (o.status != RunStatus::kOk) {
       ++failed;
       continue;
     }
@@ -46,9 +46,9 @@ void write_campaign_json(std::ostream& os,
     const RunOutcome& o = outcomes[i];
     os << (i == 0 ? "\n" : ",\n");
     os << "    {\"index\": " << o.index << ", \"name\": \""
-       << json_escape(o.name) << "\", \"ok\": " << (o.ok ? "true" : "false")
+       << json_escape(o.name) << "\", \"ok\": " << (o.status == RunStatus::kOk ? "true" : "false")
        << ", \"status\": \"" << to_string(o.status) << '"';
-    if (!o.ok) {
+    if (o.status != RunStatus::kOk) {
       os << ", \"error\": \"" << json_escape(o.error) << "\"}";
       continue;
     }
@@ -95,7 +95,7 @@ void write_campaign_json(std::ostream& os,
     std::size_t n_resumed = 0;
     for (const RunOutcome& o : outcomes) {
       if (o.resumed) ++n_resumed;
-      if (o.ok) continue;
+      if (o.status == RunStatus::kOk) continue;
       switch (o.status) {
         case RunStatus::kTimedOut: ++n_timed_out; break;
         case RunStatus::kCancelled: ++n_cancelled; break;
@@ -111,7 +111,7 @@ void write_campaign_json(std::ostream& os,
        << ", \"resumed\": " << n_resumed << ", \"runs\": [";
     bool first = true;
     for (const RunOutcome& o : outcomes) {
-      if (o.ok) continue;
+      if (o.status == RunStatus::kOk) continue;
       os << (first ? "\n" : ",\n");
       first = false;
       os << "    {\"index\": " << o.index << ", \"name\": \""

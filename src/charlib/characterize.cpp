@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "gate/bitsim.hpp"
-#include "gate/gatesim.hpp"
 #include "gate/synth.hpp"
 #include "power/activity.hpp"
 #include "sim/report.hpp"
@@ -35,20 +34,11 @@ ModelAccuracy accuracy(const std::vector<double>& model,
   return a;
 }
 
-void drive_word(gate::GateSim& simu, const std::vector<gate::NetId>& pins,
-                std::uint64_t value) {
-  for (std::size_t b = 0; b < pins.size(); ++b) {
-    simu.set_input(pins[b], (value >> b & 1u) != 0);
-  }
-}
-
 /// Drives one word per lane onto a pin bundle: lane_words[j] bit b goes
-/// to pin b's lane j. Lanes beyond `lanes` are driven 0. The buffer is
-/// consumed (transposed from lane-major to pin-major in place). All
-/// characterization bundles fit in 64 pins.
+/// to pin b's lane j. The buffer is consumed (transposed from lane-major
+/// to pin-major in place). All characterization bundles fit in 64 pins.
 void drive_lane_words(gate::BitSim& simu, const std::vector<gate::NetId>& pins,
-                      std::uint64_t lane_words[kLanes], unsigned lanes) {
-  std::fill(lane_words + lanes, lane_words + kLanes, 0);
+                      std::uint64_t lane_words[kLanes]) {
   gate::bit_transpose_64x64(lane_words);
   for (std::size_t b = 0; b < pins.size(); ++b) {
     simu.set_input(pins[b], lane_words[b]);
@@ -74,7 +64,7 @@ void read_lane_words(const gate::BitSim& simu,
 
 DecoderCharacterization characterize_decoder(unsigned n_outputs, unsigned n_samples,
                                              std::uint64_t seed,
-                                             gate::Technology tech, Engine engine) {
+                                             gate::Technology tech) {
   if (n_samples < 8) throw SimError("characterize_decoder: too few samples");
   DecoderCharacterization out;
   out.n_outputs = n_outputs;
@@ -96,42 +86,30 @@ DecoderCharacterization characterize_decoder(unsigned n_outputs, unsigned n_samp
   }
 
   std::vector<double> ref(n_samples, 0.0);
-  if (engine == Engine::kScalar) {
-    gate::GateSim simu(dec.nl, tech);
-    drive_word(simu, dec.addr, 0);
+  // 64 independent transitions per pass: lane j of the batch holds
+  // trial base+j. The decoder is combinational, so establishing the
+  // "previous" settled state is one unaccounted evaluation -- and
+  // because consecutive trials are adjacent lanes, its pin words are
+  // just the measured wave's words shifted up one lane, with the
+  // previous batch's last word carried into lane 0 (all-zero before
+  // trial 0). One transpose per batch instead of two.
+  gate::BitSim simu(dec.nl, tech, gate::BitSim::Accounting::kPerLane);
+  std::uint64_t cur_w[kLanes];
+  std::uint64_t carry = 0;
+  for (unsigned base = 0; base < n_samples; base += kLanes) {
+    const unsigned lanes = std::min(kLanes, n_samples - base);
+    for (unsigned j = 0; j < lanes; ++j) cur_w[j] = words[base + j];
+    std::fill(cur_w + lanes, cur_w + kLanes, 0);
+    gate::bit_transpose_64x64(cur_w);
+    for (unsigned b = 0; b < bits; ++b) {
+      simu.set_input(dec.addr[b], cur_w[b] << 1 | (carry >> b & 1u));
+    }
+    simu.eval_unaccounted();
+    for (unsigned b = 0; b < bits; ++b) simu.set_input(dec.addr[b], cur_w[b]);
+    simu.reset_accounting();
     simu.eval();
-    for (unsigned i = 0; i < n_samples; ++i) {
-      drive_word(simu, dec.addr, words[i]);
-      simu.reset_accounting();
-      simu.eval();
-      ref[i] = simu.energy();
-    }
-  } else {
-    // 64 independent transitions per pass: lane j of the batch holds
-    // trial base+j. The decoder is combinational, so establishing the
-    // "previous" settled state is one unaccounted evaluation -- and
-    // because consecutive trials are adjacent lanes, its pin words are
-    // just the measured wave's words shifted up one lane, with the
-    // previous batch's last word carried into lane 0 (all-zero before
-    // trial 0). One transpose per batch instead of two.
-    gate::BitSim simu(dec.nl, tech, gate::BitSim::Accounting::kPerLane);
-    std::uint64_t cur_w[kLanes];
-    std::uint64_t carry = 0;
-    for (unsigned base = 0; base < n_samples; base += kLanes) {
-      const unsigned lanes = std::min(kLanes, n_samples - base);
-      for (unsigned j = 0; j < lanes; ++j) cur_w[j] = words[base + j];
-      std::fill(cur_w + lanes, cur_w + kLanes, 0);
-      gate::bit_transpose_64x64(cur_w);
-      for (unsigned b = 0; b < bits; ++b) {
-        simu.set_input(dec.addr[b], cur_w[b] << 1 | (carry >> b & 1u));
-      }
-      simu.eval_unaccounted();
-      for (unsigned b = 0; b < bits; ++b) simu.set_input(dec.addr[b], cur_w[b]);
-      simu.reset_accounting();
-      simu.eval();
-      for (unsigned j = 0; j < lanes; ++j) ref[base + j] = simu.lane_energy(j);
-      carry = words[base + lanes - 1];
-    }
+    for (unsigned j = 0; j < lanes; ++j) ref[base + j] = simu.lane_energy(j);
+    carry = words[base + lanes - 1];
   }
 
   std::vector<double> model_e, fx;
@@ -157,7 +135,7 @@ DecoderCharacterization characterize_decoder(unsigned n_outputs, unsigned n_samp
 
 MuxCharacterization characterize_mux(unsigned width, unsigned n_inputs,
                                      unsigned n_samples, std::uint64_t seed,
-                                     gate::Technology tech, Engine engine) {
+                                     gate::Technology tech) {
   if (n_samples < 16) throw SimError("characterize_mux: too few samples");
   MuxCharacterization out;
   out.width = width;
@@ -168,8 +146,7 @@ MuxCharacterization characterize_mux(unsigned width, unsigned n_inputs,
   // Replay the stimulus policy up front: randomly change the selected
   // input's data, occasionally the select. Each step records only its
   // delta (one rewritten data input); any point of the sequence is
-  // reconstructed by rolling the deltas forward, which both engines do
-  // in strict step order.
+  // reconstructed by rolling the deltas forward in strict step order.
   struct Step {
     unsigned sel = 0;
     unsigned prev_sel = 0;
@@ -201,83 +178,64 @@ MuxCharacterization characterize_mux(unsigned width, unsigned n_inputs,
 
   std::vector<double> ref(n_samples, 0.0);
   std::vector<std::uint64_t> outs(n_samples, 0);
-  if (engine == Engine::kScalar) {
-    gate::GateSim simu(mux.nl, tech);
-    for (unsigned i = 0; i < n_inputs; ++i) drive_word(simu, mux.data[i], 0);
-    drive_word(simu, mux.sel, 0);
-    simu.eval();
-    for (unsigned s = 0; s < n_samples; ++s) {
-      drive_word(simu, mux.data[steps[s].victim], steps[s].word);
-      drive_word(simu, mux.sel, steps[s].sel);
-      simu.reset_accounting();
-      simu.eval();
-      ref[s] = simu.energy();
-      std::uint64_t cur_out = 0;
-      for (unsigned b = 0; b < width; ++b) {
-        if (simu.value(mux.out[b])) cur_out |= 1ull << b;
-      }
-      outs[s] = cur_out;
-    }
-  } else {
-    // Lane j of each batch carries trial base+j: previous assignment in
-    // the first (unaccounted) wave, measured assignment in the second.
-    // The measured assignments come from rolling the step deltas
-    // forward, written lane-major ([input i][lane j]) and transposed to
-    // pin words -- and since lane j's previous assignment is lane j-1's
-    // measured one, the first wave reuses those pin words shifted up one
-    // lane, carrying in the batch-entry assignment at lane 0. One
-    // transpose per bundle per batch instead of two.
-    gate::BitSim simu(mux.nl, tech, gate::BitSim::Accounting::kPerLane);
-    std::vector<std::uint64_t> cur_buf(n_inputs * kLanes, 0);
-    std::vector<std::uint64_t> carry(n_inputs, 0);  ///< batch-entry assignment
-    std::uint64_t cur_sel_w[kLanes];
-    std::uint64_t lane_w[kLanes];
-    std::vector<std::uint64_t> rolling(n_inputs, 0);
-    unsigned carry_sel = 0;
-    const unsigned sel_bits = static_cast<unsigned>(mux.sel.size());
-    for (unsigned base = 0; base < n_samples; base += kLanes) {
-      const unsigned lanes = std::min(kLanes, n_samples - base);
-      for (unsigned j = 0; j < lanes; ++j) {
-        const Step& st = steps[base + j];
-        rolling[st.victim] = st.word;
-        for (unsigned i = 0; i < n_inputs; ++i) {
-          cur_buf[i * kLanes + j] = rolling[i];
-        }
-        cur_sel_w[j] = st.sel;
-      }
+  // Lane j of each batch carries trial base+j: previous assignment in
+  // the first (unaccounted) wave, measured assignment in the second.
+  // The measured assignments come from rolling the step deltas
+  // forward, written lane-major ([input i][lane j]) and transposed to
+  // pin words -- and since lane j's previous assignment is lane j-1's
+  // measured one, the first wave reuses those pin words shifted up one
+  // lane, carrying in the batch-entry assignment at lane 0. One
+  // transpose per bundle per batch instead of two.
+  gate::BitSim simu(mux.nl, tech, gate::BitSim::Accounting::kPerLane);
+  std::vector<std::uint64_t> cur_buf(n_inputs * kLanes, 0);
+  std::vector<std::uint64_t> carry(n_inputs, 0);  ///< batch-entry assignment
+  std::uint64_t cur_sel_w[kLanes];
+  std::uint64_t lane_w[kLanes];
+  std::vector<std::uint64_t> rolling(n_inputs, 0);
+  unsigned carry_sel = 0;
+  const unsigned sel_bits = static_cast<unsigned>(mux.sel.size());
+  for (unsigned base = 0; base < n_samples; base += kLanes) {
+    const unsigned lanes = std::min(kLanes, n_samples - base);
+    for (unsigned j = 0; j < lanes; ++j) {
+      const Step& st = steps[base + j];
+      rolling[st.victim] = st.word;
       for (unsigned i = 0; i < n_inputs; ++i) {
-        std::uint64_t* w = &cur_buf[i * kLanes];
-        std::fill(w + lanes, w + kLanes, 0);
-        gate::bit_transpose_64x64(w);
+        cur_buf[i * kLanes + j] = rolling[i];
       }
-      std::fill(cur_sel_w + lanes, cur_sel_w + kLanes, 0);
-      gate::bit_transpose_64x64(cur_sel_w);
+      cur_sel_w[j] = st.sel;
+    }
+    for (unsigned i = 0; i < n_inputs; ++i) {
+      std::uint64_t* w = &cur_buf[i * kLanes];
+      std::fill(w + lanes, w + kLanes, 0);
+      gate::bit_transpose_64x64(w);
+    }
+    std::fill(cur_sel_w + lanes, cur_sel_w + kLanes, 0);
+    gate::bit_transpose_64x64(cur_sel_w);
 
-      for (unsigned i = 0; i < n_inputs; ++i) {
-        const std::uint64_t* w = &cur_buf[i * kLanes];
-        for (unsigned b = 0; b < width; ++b) {
-          simu.set_input(mux.data[i][b], w[b] << 1 | (carry[i] >> b & 1u));
-        }
+    for (unsigned i = 0; i < n_inputs; ++i) {
+      const std::uint64_t* w = &cur_buf[i * kLanes];
+      for (unsigned b = 0; b < width; ++b) {
+        simu.set_input(mux.data[i][b], w[b] << 1 | (carry[i] >> b & 1u));
       }
-      for (unsigned b = 0; b < sel_bits; ++b) {
-        simu.set_input(mux.sel[b], cur_sel_w[b] << 1 | (carry_sel >> b & 1u));
-      }
-      simu.eval_unaccounted();
-      for (unsigned i = 0; i < n_inputs; ++i) {
-        const std::uint64_t* w = &cur_buf[i * kLanes];
-        for (unsigned b = 0; b < width; ++b) simu.set_input(mux.data[i][b], w[b]);
-      }
-      for (unsigned b = 0; b < sel_bits; ++b) simu.set_input(mux.sel[b], cur_sel_w[b]);
-      simu.reset_accounting();
-      simu.eval();
-      read_lane_words(simu, mux.out, lane_w);
-      for (unsigned j = 0; j < lanes; ++j) {
-        ref[base + j] = simu.lane_energy(j);
-        outs[base + j] = lane_w[j];
-      }
-      carry = rolling;
-      carry_sel = steps[base + lanes - 1].sel;
     }
+    for (unsigned b = 0; b < sel_bits; ++b) {
+      simu.set_input(mux.sel[b], cur_sel_w[b] << 1 | (carry_sel >> b & 1u));
+    }
+    simu.eval_unaccounted();
+    for (unsigned i = 0; i < n_inputs; ++i) {
+      const std::uint64_t* w = &cur_buf[i * kLanes];
+      for (unsigned b = 0; b < width; ++b) simu.set_input(mux.data[i][b], w[b]);
+    }
+    for (unsigned b = 0; b < sel_bits; ++b) simu.set_input(mux.sel[b], cur_sel_w[b]);
+    simu.reset_accounting();
+    simu.eval();
+    read_lane_words(simu, mux.out, lane_w);
+    for (unsigned j = 0; j < lanes; ++j) {
+      ref[base + j] = simu.lane_energy(j);
+      outs[base + j] = lane_w[j];
+    }
+    carry = rolling;
+    carry_sel = steps[base + lanes - 1].sel;
   }
 
   power::MuxModel default_model(width, n_inputs, tech);
@@ -327,7 +285,7 @@ MuxCharacterization characterize_mux(unsigned width, unsigned n_inputs,
 
 ArbiterCharacterization characterize_arbiter(unsigned n_masters, unsigned n_cycles,
                                              std::uint64_t seed,
-                                             gate::Technology tech, Engine engine) {
+                                             gate::Technology tech) {
   if (n_cycles < 16) throw SimError("characterize_arbiter: too few cycles");
   ArbiterCharacterization out;
   out.n_masters = n_masters;
@@ -338,8 +296,7 @@ ArbiterCharacterization characterize_arbiter(unsigned n_masters, unsigned n_cycl
   // probability 1/4 per cycle. One 64-bit draw is sliced into 32
   // independent 2-bit fields (one per master), so a cycle costs
   // ceil(n_masters/32) draws instead of n_masters. The draw schedule is
-  // part of the stimulus definition and is shared verbatim by both
-  // engines.
+  // part of the stimulus definition (the golden tests pin it).
   std::mt19937_64 rng(seed);
   std::vector<std::uint32_t> reqs(n_cycles);
   {
@@ -358,69 +315,52 @@ ArbiterCharacterization characterize_arbiter(unsigned n_masters, unsigned n_cycl
 
   std::vector<double> ref(n_cycles, 0.0);
   std::vector<unsigned> grants(n_cycles, 0);
-  if (engine == Engine::kScalar) {
-    gate::GateSim simu(arb.nl, tech);
-    for (unsigned c = 0; c < n_cycles; ++c) {
-      for (unsigned m = 0; m < n_masters; ++m) {
-        simu.set_input(arb.req[m], (reqs[c] >> m & 1u) != 0);
-      }
-      simu.reset_accounting();
-      simu.tick();
-      ref[c] = simu.energy();
+  // The arbiter is sequential, but its next-state logic is a pure
+  // priority encode of the request lines -- the post-tick netlist
+  // state is a function of the last request vector alone. So lane j
+  // replays the j-th contiguous chunk of the cycle sequence after a
+  // single unaccounted warm-up tick with the chunk's predecessor
+  // request (all-zero before cycle 0, which reproduces the reset
+  // state): n_cycles single-pattern ticks become ceil(n_cycles/64)+1
+  // 64-lane ticks.
+  gate::BitSim simu(arb.nl, tech, gate::BitSim::Accounting::kPerLane);
+  const unsigned len = (n_cycles + kLanes - 1) / kLanes;
+  std::uint64_t lane_req[kLanes];
+  std::uint64_t grant_w[kLanes];
+  auto lane_cycle = [len](unsigned j, unsigned t) { return j * len + t; };
+
+  // Handover detection needs no per-lane state: the sample-order loop
+  // below walks grants[] with a rolling predecessor, which crosses
+  // chunk boundaries exactly like the cycle sequence itself.
+  std::uint32_t lane_prev_req[kLanes];
+  for (unsigned j = 0; j < kLanes; ++j) {
+    const unsigned start = lane_cycle(j, 0);
+    lane_req[j] = (j == 0 || start > n_cycles || start == 0) ? 0 : reqs[start - 1];
+    lane_prev_req[j] = static_cast<std::uint32_t>(lane_req[j]);
+  }
+  drive_lane_words(simu, arb.req, lane_req);
+  simu.tick();
+
+  for (unsigned t = 0; t < len; ++t) {
+    for (unsigned j = 0; j < kLanes; ++j) {
+      const unsigned c = lane_cycle(j, t);
+      lane_req[j] = c < n_cycles ? reqs[c] : lane_prev_req[j];
+    }
+    drive_lane_words(simu, arb.req, lane_req);
+    simu.reset_accounting();
+    simu.tick();
+    read_lane_words(simu, arb.grant, grant_w);
+    for (unsigned j = 0; j < kLanes; ++j) {
+      const unsigned c = lane_cycle(j, t);
+      if (c >= n_cycles) continue;
+      ref[c] = simu.lane_energy(j);
+      // Highest set grant line wins.
       unsigned grant = 0;
       for (unsigned m = 0; m < n_masters; ++m) {
-        if (simu.value(arb.grant[m])) grant = m;
+        if ((grant_w[j] >> m & 1u) != 0) grant = m;
       }
       grants[c] = grant;
-    }
-  } else {
-    // The arbiter is sequential, but its next-state logic is a pure
-    // priority encode of the request lines -- the post-tick netlist
-    // state is a function of the last request vector alone. So lane j
-    // replays the j-th contiguous chunk of the cycle sequence after a
-    // single unaccounted warm-up tick with the chunk's predecessor
-    // request (all-zero before cycle 0, which reproduces the reset
-    // state): n_cycles scalar ticks become ceil(n_cycles/64)+1 64-lane
-    // ticks.
-    gate::BitSim simu(arb.nl, tech, gate::BitSim::Accounting::kPerLane);
-    const unsigned len = (n_cycles + kLanes - 1) / kLanes;
-    std::uint64_t lane_req[kLanes];
-    std::uint64_t grant_w[kLanes];
-    auto lane_cycle = [len](unsigned j, unsigned t) { return j * len + t; };
-
-    // Handover detection needs no per-lane state: the sample-order loop
-    // below walks grants[] with a rolling predecessor, which crosses
-    // chunk boundaries exactly like the scalar cycle sequence.
-    std::uint32_t prev_req[kLanes];
-    for (unsigned j = 0; j < kLanes; ++j) {
-      const unsigned start = lane_cycle(j, 0);
-      lane_req[j] = (j == 0 || start > n_cycles || start == 0) ? 0 : reqs[start - 1];
-      prev_req[j] = static_cast<std::uint32_t>(lane_req[j]);
-    }
-    drive_lane_words(simu, arb.req, lane_req, kLanes);
-    simu.tick();
-
-    for (unsigned t = 0; t < len; ++t) {
-      for (unsigned j = 0; j < kLanes; ++j) {
-        const unsigned c = lane_cycle(j, t);
-        lane_req[j] = c < n_cycles ? reqs[c] : prev_req[j];
-      }
-      drive_lane_words(simu, arb.req, lane_req, kLanes);
-      simu.reset_accounting();
-      simu.tick();
-      read_lane_words(simu, arb.grant, grant_w);
-      for (unsigned j = 0; j < kLanes; ++j) {
-        const unsigned c = lane_cycle(j, t);
-        if (c >= n_cycles) continue;
-        ref[c] = simu.lane_energy(j);
-        // Highest set grant line wins, matching the scalar scan.
-        unsigned grant = 0;
-        for (unsigned m = 0; m < n_masters; ++m) {
-          if ((grant_w[j] >> m & 1u) != 0) grant = m;
-        }
-        grants[c] = grant;
-        prev_req[j] = reqs[c];
-      }
+      lane_prev_req[j] = reqs[c];
     }
   }
 

@@ -6,6 +6,15 @@
 // the macromodel coefficients by least squares, and reports how well the
 // closed-form macromodel tracks the gate level -- the step the authors
 // performed with SIS.
+//
+// The reference energies come from gate::BitSim, 64 trials per pass:
+// lane j of batch b is trial 64*b+j for the combinational decoder/mux
+// flows; for the sequential arbiter, lane j replays the j-th contiguous
+// chunk of the cycle sequence after a one-tick state warm-up. BitSim's
+// per-lane accounting is bit-identical to a scalar gate::GateSim run of
+// the same trial sequence, so every sample energy -- and therefore every
+// fitted coefficient -- is the scalar reference value exactly; golden
+// tests pin them.
 
 #include <array>
 #include <cstdint>
@@ -17,21 +26,6 @@
 #include "power/macromodel.hpp"
 
 namespace ahbp::charlib {
-
-/// Gate-level engine the characterization flows drive for reference
-/// energies.
-///
-/// kBitParallel packs 64 trials into one gate::BitSim pass (lane j of
-/// batch b = trial 64*b+j for the combinational decoder/mux flows; for
-/// the sequential arbiter, lane j replays the j-th contiguous chunk of
-/// the cycle sequence after a one-tick state warm-up). The mapping is
-/// deterministic and the per-sample energies -- and therefore the fitted
-/// coefficients -- are bit-identical to kScalar; the regression tests
-/// assert exact equality, well inside the documented tolerance.
-enum class Engine : std::uint8_t {
-  kScalar,       ///< one pattern per gate::GateSim evaluation
-  kBitParallel,  ///< 64 patterns per gate::BitSim evaluation (default)
-};
 
 /// One characterization sample: activity features and measured energy.
 /// Features are stored inline (no flow has more than 3), so collecting
@@ -63,8 +57,7 @@ struct DecoderCharacterization {
 /// `n_samples` random transitions.
 [[nodiscard]] DecoderCharacterization characterize_decoder(
     unsigned n_outputs, unsigned n_samples, std::uint64_t seed,
-    gate::Technology tech = gate::Technology::default_2003(),
-    Engine engine = Engine::kBitParallel);
+    gate::Technology tech = gate::Technology::default_2003());
 
 /// Mux characterization result.
 struct MuxCharacterization {
@@ -80,8 +73,7 @@ struct MuxCharacterization {
 /// Characterizes an n-to-1 mux of the given shape.
 [[nodiscard]] MuxCharacterization characterize_mux(
     unsigned width, unsigned n_inputs, unsigned n_samples, std::uint64_t seed,
-    gate::Technology tech = gate::Technology::default_2003(),
-    Engine engine = Engine::kBitParallel);
+    gate::Technology tech = gate::Technology::default_2003());
 
 /// Arbiter characterization result.
 struct ArbiterCharacterization {
@@ -94,7 +86,6 @@ struct ArbiterCharacterization {
 /// Characterizes the priority-arbiter FSM over random request patterns.
 [[nodiscard]] ArbiterCharacterization characterize_arbiter(
     unsigned n_masters, unsigned n_cycles, std::uint64_t seed,
-    gate::Technology tech = gate::Technology::default_2003(),
-    Engine engine = Engine::kBitParallel);
+    gate::Technology tech = gate::Technology::default_2003());
 
 }  // namespace ahbp::charlib

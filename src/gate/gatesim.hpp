@@ -1,11 +1,15 @@
 #pragma once
 // Zero-delay levelized gate simulator with switching-energy accounting.
 //
-// This is the reference ("SIS role") simulator: it evaluates a finalized
+// This is the scalar reference simulator: it evaluates a finalized
 // Netlist cycle by cycle, counts settled-value transitions per net, and
 // charges CV^2/2 per transition. Because evaluation is levelized there are
 // no glitches -- each net toggles at most once per step, matching the
 // assumptions behind the paper's Hamming-distance macromodels.
+//
+// Production code (charlib, the live cosim cross-check) runs the 64-lane
+// gate::BitSim; this engine is the oracle the tests check BitSim against,
+// lane by lane.
 
 #include <cstdint>
 #include <vector>

@@ -81,32 +81,25 @@ GateLevelCrossCheck::GateLevelCrossCheck(sim::Module* parent, std::string name,
                           gate::Technology::default_2003()) {}
 
 GateLevelCrossCheck::GateLevelCrossCheck(sim::Module* parent, std::string name,
-                                         ahb::AhbBus& bus, gate::Technology tech,
-                                         Engine engine)
+                                         ahb::AhbBus& bus, gate::Technology tech)
     : Module(parent, std::move(name)),
       bus_(bus),
-      tech_(tech),
       mux_nl_(gate::build_mux(32, std::max(2u, bus.n_masters()))),
-      mux_sim_(mux_nl_.nl, tech),
+      mux_sim_(mux_nl_.nl, tech, gate::BitSim::Accounting::kPerLane),
       mux_model_(32, std::max(2u, bus.n_masters()), tech),
       prev_master_addr_(bus.n_masters(), 0),
       arb_nl_(gate::build_priority_arbiter(std::max(2u, bus.n_masters()))),
-      arb_sim_(arb_nl_.nl, tech),
+      arb_sim_(arb_nl_.nl, tech, gate::BitSim::Accounting::kPerLane),
       arb_model_(std::max(2u, bus.n_masters()), tech),
-      engine_(engine),
       lane_prev_addr_(bus.n_masters(), 0),
       proc_(this, "cosim", [this] { on_cycle(); }) {
   if (!bus.finalized()) {
     throw SimError("GateLevelCrossCheck: bus must be finalized first");
   }
-  if (engine_ == Engine::kBatched) {
-    mux_bsim_.emplace(mux_nl_.nl, tech_, gate::BitSim::Accounting::kPerLane);
-    arb_bsim_.emplace(arb_nl_.nl, tech_, gate::BitSim::Accounting::kPerLane);
-    pend_addr_.reserve(static_cast<std::size_t>(gate::BitSim::kLanes) *
-                       bus.n_masters());
-    pend_sel_.reserve(gate::BitSim::kLanes);
-    pend_req_.reserve(gate::BitSim::kLanes);
-  }
+  pend_addr_.reserve(static_cast<std::size_t>(gate::BitSim::kLanes) *
+                     bus.n_masters());
+  pend_sel_.reserve(gate::BitSim::kLanes);
+  pend_req_.reserve(gate::BitSim::kLanes);
   proc_.sensitive(bus.clock().negedge_event()).dont_initialize();
 }
 
@@ -123,10 +116,6 @@ const CosimSeries& GateLevelCrossCheck::arbiter_series() const {
 }
 
 void GateLevelCrossCheck::flush() {
-  if (engine_ == Engine::kBatched) flush_batch();
-}
-
-void GateLevelCrossCheck::flush_batch() {
   const unsigned lanes = static_cast<unsigned>(pend_sel_.size());
   if (lanes == 0) return;
   const unsigned n_masters = bus_.n_masters();
@@ -137,7 +126,6 @@ void GateLevelCrossCheck::flush_batch() {
   // lane j's predecessor is cycle base+j-1, i.e. lane j-1's current
   // words, so the shifted pin words with the carry bit in lane 0 are
   // exactly the predecessor assignment. Wave 2 accounts the transition.
-  gate::BitSim& mux = *mux_bsim_;
   pin_words_.clear();
   for (unsigned m = 0; m < n_masters; ++m) {
     gather_pins(lanes, [&](unsigned j) { return pend_addr_[j * n_masters + m]; },
@@ -155,23 +143,23 @@ void GateLevelCrossCheck::flush_batch() {
     };
     for (unsigned m = 0; m < n_masters; ++m) {
       for (unsigned bit = 0; bit < 32; ++bit, ++w) {
-        mux.set_input(mux_nl_.data[m][bit],
-                      word(pin_words_[w], lane_prev_addr_[m] >> bit & 1u));
+        mux_sim_.set_input(mux_nl_.data[m][bit],
+                           word(pin_words_[w], lane_prev_addr_[m] >> bit & 1u));
       }
     }
     for (unsigned bit = 0; bit < n_sel; ++bit, ++w) {
-      mux.set_input(mux_nl_.sel[bit],
-                    word(pin_words_[w],
-                         static_cast<std::uint32_t>(lane_prev_sel_) >> bit & 1u));
+      mux_sim_.set_input(
+          mux_nl_.sel[bit],
+          word(pin_words_[w], static_cast<std::uint32_t>(lane_prev_sel_) >> bit & 1u));
     }
   };
   drive_mux(/*shifted=*/true);
-  mux.eval_unaccounted();
+  mux_sim_.eval_unaccounted();
   drive_mux(/*shifted=*/false);
-  mux.reset_accounting();
-  mux.eval();
+  mux_sim_.reset_accounting();
+  mux_sim_.eval();
   for (unsigned j = 0; j < lanes; ++j) {
-    mux_series_.gate.push_back(mux.lane_energy(j));
+    mux_series_.gate.push_back(mux_sim_.lane_energy(j));
   }
   for (unsigned m = 0; m < n_masters; ++m) {
     lane_prev_addr_[m] = pend_addr_[(lanes - 1) * n_masters + m];
@@ -183,22 +171,21 @@ void GateLevelCrossCheck::flush_batch() {
   // request vector alone (see characterize_arbiter), so one warm-up tick
   // with the shifted request words puts every lane into its
   // predecessor's post-tick state; the accounted tick then reproduces
-  // the per-cycle scalar energies exactly.
-  gate::BitSim& arb = *arb_bsim_;
+  // the per-cycle single-pattern energies exactly.
   gather_pins(lanes, [&](unsigned j) { return pend_req_[j]; }, tmp);
   const auto drive_arb = [&](bool shifted) {
     for (unsigned m = 0; m < n_masters; ++m) {
-      arb.set_input(arb_nl_.req[m],
-                    shifted ? tmp[m] << 1 | (lane_prev_req_ >> m & 1u) : tmp[m]);
+      arb_sim_.set_input(arb_nl_.req[m],
+                         shifted ? tmp[m] << 1 | (lane_prev_req_ >> m & 1u) : tmp[m]);
     }
   };
   drive_arb(/*shifted=*/true);
-  arb.tick();
+  arb_sim_.tick();
   drive_arb(/*shifted=*/false);
-  arb.reset_accounting();
-  arb.tick();
+  arb_sim_.reset_accounting();
+  arb_sim_.tick();
   for (unsigned j = 0; j < lanes; ++j) {
-    arb_series_.gate.push_back(arb.lane_energy(j));
+    arb_series_.gate.push_back(arb_sim_.lane_energy(j));
   }
   lane_prev_req_ = pend_req_[lanes - 1];
 
@@ -213,31 +200,16 @@ void GateLevelCrossCheck::on_cycle() {
   const unsigned n_masters = bus_.n_masters();
 
   // --- address-path mux ---------------------------------------------------
-  // Drive the gate mux with every master's live HADDR and the arbiter's
-  // HMASTER as select; its output equals the bus address.
-  const bool batched = engine_ == Engine::kBatched;
+  // Buffer every master's live HADDR and the arbiter's HMASTER as select
+  // for the gate mux (its output equals the bus address); the model is
+  // charged at once, the gate level when the batch flushes.
   unsigned hd_in = 0;
   const std::uint8_t hm = b.hmaster.read();
   for (unsigned m = 0; m < n_masters; ++m) {
     const std::uint32_t a = bus_.m2s().input(m).haddr.read();
     if (m == hm) hd_in = hamming(prev_master_addr_[m], a);
     prev_master_addr_[m] = a;
-    if (batched) {
-      pend_addr_.push_back(a);
-    } else {
-      for (unsigned bit = 0; bit < 32; ++bit) {
-        mux_sim_.set_input(mux_nl_.data[m][bit], (a >> bit & 1u) != 0);
-      }
-    }
-  }
-  double gate_mux_e = 0.0;
-  if (!batched) {
-    for (unsigned bit = 0; bit < mux_nl_.sel.size(); ++bit) {
-      mux_sim_.set_input(mux_nl_.sel[bit], (hm >> bit & 1u) != 0);
-    }
-    mux_sim_.reset_accounting();
-    mux_sim_.eval();
-    gate_mux_e = mux_sim_.energy();
+    pend_addr_.push_back(a);
   }
 
   const std::uint32_t addr_out = b.haddr.read();
@@ -246,28 +218,16 @@ void GateLevelCrossCheck::on_cycle() {
   prev_addr_out_ = addr_out;
   prev_hmaster_ = hm;
   mux_series_.model.push_back(mux_model_.energy(hd_in, hd_sel, hd_out));
-  if (!batched) mux_series_.gate.push_back(gate_mux_e);
 
   // --- arbiter -------------------------------------------------------------
   const std::uint32_t req = bus_.arbiter().request_vector();
-  if (!batched) {
-    for (unsigned m = 0; m < n_masters; ++m) {
-      arb_sim_.set_input(arb_nl_.req[m], (req >> m & 1u) != 0);
-    }
-    arb_sim_.reset_accounting();
-    arb_sim_.tick();
-  }
-
   const bool handover = hd_sel != 0;
   arb_series_.model.push_back(arb_model_.energy(hamming(prev_req_, req), handover));
-  if (batched) {
-    pend_sel_.push_back(hm);
-    pend_req_.push_back(req);
-    if (pend_sel_.size() == gate::BitSim::kLanes) flush_batch();
-  } else {
-    arb_series_.gate.push_back(arb_sim_.energy());
-  }
   prev_req_ = req;
+
+  pend_sel_.push_back(hm);
+  pend_req_.push_back(req);
+  if (pend_sel_.size() == gate::BitSim::kLanes) flush();
 }
 
 }  // namespace ahbp::power

@@ -8,14 +8,19 @@
 // sees, and their toggle-accounted energy is recorded next to the
 // macromodel's per-cycle estimate. The result is a direct, workload-
 // faithful accuracy measurement (totals ratio + per-cycle correlation).
+//
+// The gate-level references run on gate::BitSim: 64 bus cycles of live
+// stimulus are buffered and replayed as the 64 lanes of one pass (cycle
+// base+j = lane j; every lane's "previous" assignment comes from the
+// lane below via a word shift, carrying the last pre-batch cycle into
+// lane 0). Per-cycle gate energies are bit-identical to driving a
+// scalar gate::GateSim cycle by cycle; golden tests pin them.
 
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "ahb/bus.hpp"
 #include "gate/bitsim.hpp"
-#include "gate/gatesim.hpp"
 #include "gate/synth.hpp"
 #include "power/macromodel.hpp"
 #include "sim/module.hpp"
@@ -39,20 +44,9 @@ struct CosimSeries {
 /// Runs the gate-level address mux and arbiter beside a live bus.
 class GateLevelCrossCheck : public sim::Module {
 public:
-  /// How the gate-level references are evaluated.
-  enum class Engine : std::uint8_t {
-    kPerCycle,  ///< one GateSim eval/tick per bus cycle
-    /// Buffer 64 cycles of live stimulus and replay them as the 64
-    /// lanes of one gate::BitSim pass (cycle base+j = lane j; every
-    /// lane's "previous" assignment comes from the lane below via a
-    /// word shift, carrying the last pre-batch cycle into lane 0).
-    /// Per-cycle gate energies are bit-identical to kPerCycle.
-    kBatched,
-  };
-
   GateLevelCrossCheck(sim::Module* parent, std::string name, ahb::AhbBus& bus);
   GateLevelCrossCheck(sim::Module* parent, std::string name, ahb::AhbBus& bus,
-                      gate::Technology tech, Engine engine = Engine::kPerCycle);
+                      gate::Technology tech);
 
   /// Address-path (32-bit) M2S mux: gate level vs MuxModel.
   [[nodiscard]] const CosimSeries& mux_series() const;
@@ -60,22 +54,18 @@ public:
   [[nodiscard]] const CosimSeries& arbiter_series() const;
 
   [[nodiscard]] std::uint64_t cycles() const { return cycles_; }
-  [[nodiscard]] Engine engine() const { return engine_; }
-
-  /// Drains buffered cycles (kBatched) into the series as a partial
-  /// batch. The series accessors call this themselves; recording
-  /// continues seamlessly afterwards. No-op for kPerCycle.
-  void flush();
 
 private:
   void on_cycle();
-  void flush_batch();
+  /// Drains buffered cycles into the series as a partial batch. The
+  /// series accessors call this themselves; recording continues
+  /// seamlessly afterwards.
+  void flush();
 
   ahb::AhbBus& bus_;
-  gate::Technology tech_;
 
   gate::MuxNetlist mux_nl_;
-  gate::GateSim mux_sim_;
+  gate::BitSim mux_sim_;
   MuxModel mux_model_;
   CosimSeries mux_series_;
   std::uint32_t prev_addr_out_ = 0;
@@ -83,16 +73,13 @@ private:
   std::vector<std::uint32_t> prev_master_addr_;
 
   gate::ArbiterNetlist arb_nl_;
-  gate::GateSim arb_sim_;
+  gate::BitSim arb_sim_;
   ArbiterFsmModel arb_model_;
   CosimSeries arb_series_;
   std::uint32_t prev_req_ = 0;
 
-  // Batched engine state: buffered stimulus for the in-flight batch and
-  // the carry (the last flushed cycle's assignment, lane 0's "previous").
-  Engine engine_ = Engine::kPerCycle;
-  std::optional<gate::BitSim> mux_bsim_;
-  std::optional<gate::BitSim> arb_bsim_;
+  // Buffered stimulus for the in-flight batch and the carry (the last
+  // flushed cycle's assignment, lane 0's "previous").
   std::vector<std::uint32_t> pend_addr_;  ///< n_masters entries per cycle
   std::vector<std::uint8_t> pend_sel_;    ///< one entry per cycle
   std::vector<std::uint32_t> pend_req_;   ///< one entry per cycle

@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <type_traits>
+
 #include "ahb/ahb.hpp"
 #include "testbench.hpp"
 
@@ -99,17 +102,25 @@ struct BurstBench : Bench {
   BusMonitor mon;
 };
 
+// gtest names each case after a byte dump of its parameter, so the struct
+// must have no padding: padding bytes are indeterminate and would make the
+// test names change from run to run.
 struct BurstCase {
+  BurstCase(Burst b, unsigned busy, unsigned waits)
+      : burst(b), busy_percent(busy), wait_states(waits) {}
   Burst burst;
+  std::uint8_t zero[3] = {};
   unsigned busy_percent;
   unsigned wait_states;
 };
+static_assert(std::has_unique_object_representations_v<BurstCase>);
 
 class BurstSweep : public ::testing::TestWithParam<BurstCase> {};
 
 TEST_P(BurstSweep, CleanRunWithCorrectData) {
-  const auto [burst, busy, waits] = GetParam();
-  BurstBench b(burst, busy, waits);
+  const Burst burst = GetParam().burst;
+  const unsigned busy = GetParam().busy_percent;
+  BurstBench b(burst, busy, GetParam().wait_states);
   b.run_cycles(3000);
   EXPECT_TRUE(b.mon.violations().empty())
       << "first violation: " << b.mon.violations().front();

@@ -69,7 +69,7 @@ TEST(Campaign, OutcomesOrderedBySpecIndex) {
   for (std::size_t i = 0; i < outcomes.size(); ++i) {
     EXPECT_EQ(outcomes[i].index, i);
     EXPECT_EQ(outcomes[i].name, specs[i].name);
-    EXPECT_TRUE(outcomes[i].ok) << outcomes[i].error;
+    EXPECT_EQ(outcomes[i].status, RunStatus::kOk) << outcomes[i].error;
     EXPECT_GT(outcomes[i].report.cycles, 0u);
     EXPECT_GT(outcomes[i].report.total_energy, 0.0);
   }
@@ -106,13 +106,13 @@ TEST(Campaign, ThrowingSpecIsCapturedOthersComplete) {
   const Campaign pool(Campaign::Config{.threads = 2});
   const auto outcomes = pool.run(specs);
   ASSERT_EQ(outcomes.size(), 3u);
-  EXPECT_TRUE(outcomes[0].ok);
-  EXPECT_FALSE(outcomes[1].ok);
+  EXPECT_EQ(outcomes[0].status, RunStatus::kOk);
+  EXPECT_NE(outcomes[1].status, RunStatus::kOk);
   EXPECT_EQ(outcomes[1].status, RunStatus::kFailed);
   // The error names the spec, then carries the exception text.
   EXPECT_EQ(outcomes[1].error.find("spec[1] boom: "), 0u) << outcomes[1].error;
   EXPECT_NE(outcomes[1].error.find("intentional failure"), std::string::npos);
-  EXPECT_TRUE(outcomes[2].ok);
+  EXPECT_EQ(outcomes[2].status, RunStatus::kOk);
 }
 
 /// A spec that simulates forever: a free-running clock and an unbounded
@@ -149,16 +149,16 @@ TEST(Campaign, HungAndCrashingSpecsDegradeOthersUnaffected) {
   const auto outcomes = Campaign(cfg).run(specs);
 
   ASSERT_EQ(outcomes.size(), 4u);
-  EXPECT_TRUE(outcomes[0].ok) << outcomes[0].error;
-  EXPECT_TRUE(outcomes[3].ok) << outcomes[3].error;
+  EXPECT_EQ(outcomes[0].status, RunStatus::kOk) << outcomes[0].error;
+  EXPECT_EQ(outcomes[3].status, RunStatus::kOk) << outcomes[3].error;
 
-  EXPECT_FALSE(outcomes[1].ok);
+  EXPECT_NE(outcomes[1].status, RunStatus::kOk);
   EXPECT_EQ(outcomes[1].status, RunStatus::kTimedOut);
   EXPECT_GT(outcomes[1].wall_seconds, 0.0);
   EXPECT_EQ(outcomes[1].error.find("spec[1] hung: "), 0u) << outcomes[1].error;
   EXPECT_NE(outcomes[1].error.find("max-cycle budget"), std::string::npos);
 
-  EXPECT_FALSE(outcomes[2].ok);
+  EXPECT_NE(outcomes[2].status, RunStatus::kOk);
   EXPECT_EQ(outcomes[2].status, RunStatus::kFailed);
   EXPECT_GE(outcomes[2].wall_seconds, 0.0);
   EXPECT_NE(outcomes[2].error.find("intentional crash"), std::string::npos);
@@ -166,8 +166,8 @@ TEST(Campaign, HungAndCrashingSpecsDegradeOthersUnaffected) {
   // Fault-free rerun of the surviving seeds, unlimited budget.
   const auto clean = Campaign(Campaign::Config{.threads = 2})
                          .run({ahb_spec(7, 0), ahb_spec(9, 1)});
-  ASSERT_TRUE(clean[0].ok);
-  ASSERT_TRUE(clean[1].ok);
+  ASSERT_EQ(clean[0].status, RunStatus::kOk);
+  ASSERT_EQ(clean[1].status, RunStatus::kOk);
   EXPECT_EQ(std::memcmp(&outcomes[0].report.total_energy,
                         &clean[0].report.total_energy, sizeof(double)),
             0);
@@ -192,9 +192,9 @@ TEST(Campaign, RetryTransientSalvagesATransientCrash) {
   cfg.threads = 1;
   cfg.retry_transient = true;
   const auto outcomes = Campaign(cfg).run(specs);
-  EXPECT_TRUE(outcomes[0].ok) << outcomes[0].error;
+  EXPECT_EQ(outcomes[0].status, RunStatus::kOk) << outcomes[0].error;
   EXPECT_EQ(outcomes[0].attempts, 2u);
-  EXPECT_FALSE(outcomes[1].ok);
+  EXPECT_NE(outcomes[1].status, RunStatus::kOk);
   EXPECT_EQ(outcomes[1].attempts, 2u);
   EXPECT_EQ(outcomes[1].status, RunStatus::kFailed);
 }
@@ -205,7 +205,7 @@ TEST(Campaign, WallDeadlineCancelsUnstartedSpecs) {
   cfg.campaign_wall_seconds = 1e-9;  // passed before the first claim
   const auto outcomes = Campaign(cfg).run(sample_specs());
   for (const RunOutcome& o : outcomes) {
-    EXPECT_FALSE(o.ok);
+    EXPECT_NE(o.status, RunStatus::kOk);
     EXPECT_EQ(o.status, RunStatus::kCancelled);
     EXPECT_EQ(o.attempts, 0u);
     EXPECT_NE(o.error.find("not started"), std::string::npos) << o.error;

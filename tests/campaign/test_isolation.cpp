@@ -85,7 +85,7 @@ TEST(Isolation, HealthyRunsBitIdenticalToThreadMode) {
   const auto b = forked.run(specs);
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_TRUE(b[i].ok) << b[i].error;
+    EXPECT_EQ(b[i].status, RunStatus::kOk) << b[i].error;
     EXPECT_EQ(a[i].report.total_energy, b[i].report.total_energy);
     EXPECT_EQ(a[i].report.metrics, b[i].report.metrics);
   }
@@ -103,7 +103,7 @@ TEST(Isolation, SigkillBecomesCrashedOutcomeWithSignal) {
   const auto outcomes = pool.run(specs);
   ASSERT_EQ(outcomes.size(), specs.size());
 
-  EXPECT_FALSE(outcomes[2].ok);
+  EXPECT_NE(outcomes[2].status, RunStatus::kOk);
   EXPECT_EQ(outcomes[2].status, RunStatus::kCrashed);
   EXPECT_EQ(outcomes[2].term_signal, SIGKILL);
   EXPECT_NE(outcomes[2].error.find("SIGKILL"), std::string::npos)
@@ -114,7 +114,7 @@ TEST(Isolation, SigkillBecomesCrashedOutcomeWithSignal) {
   const auto reference = threaded.run(healthy_specs());
   for (std::size_t i = 0, j = 0; i < outcomes.size(); ++i) {
     if (i == 2) continue;
-    EXPECT_TRUE(outcomes[i].ok) << outcomes[i].error;
+    EXPECT_EQ(outcomes[i].status, RunStatus::kOk) << outcomes[i].error;
     EXPECT_EQ(outcomes[i].report.total_energy,
               reference[j].report.total_energy);
     ++j;
@@ -133,13 +133,13 @@ TEST(Isolation, SegfaultIsContained) {
   const Campaign pool(
       Campaign::Config{.threads = 1, .isolation = Isolation::kProcess});
   const auto outcomes = pool.run(specs);
-  EXPECT_TRUE(outcomes[0].ok) << outcomes[0].error;
-  EXPECT_FALSE(outcomes[1].ok);
+  EXPECT_EQ(outcomes[0].status, RunStatus::kOk) << outcomes[0].error;
+  EXPECT_NE(outcomes[1].status, RunStatus::kOk);
   EXPECT_EQ(outcomes[1].status, RunStatus::kCrashed);
   if (!kSignalInterceptingSanitizer) {
     EXPECT_EQ(outcomes[1].term_signal, SIGSEGV);
   }
-  EXPECT_TRUE(outcomes[2].ok) << outcomes[2].error;
+  EXPECT_EQ(outcomes[2].status, RunStatus::kOk) << outcomes[2].error;
 }
 
 TEST(Isolation, WallBudgetKillsHungWorker) {
@@ -154,8 +154,8 @@ TEST(Isolation, WallBudgetKillsHungWorker) {
   cfg.run_budget.max_wall_seconds = 0.2;
   const Campaign pool(cfg);
   const auto outcomes = pool.run(specs);
-  EXPECT_TRUE(outcomes[0].ok) << outcomes[0].error;
-  EXPECT_FALSE(outcomes[1].ok);
+  EXPECT_EQ(outcomes[0].status, RunStatus::kOk) << outcomes[0].error;
+  EXPECT_NE(outcomes[1].status, RunStatus::kOk);
   EXPECT_EQ(outcomes[1].status, RunStatus::kTimedOut);
 }
 
@@ -185,7 +185,7 @@ TEST(Isolation, RetryTransientRespawnsCrashedWorkerOnce) {
   const auto outcomes = pool.run(specs);
   fs::remove(marker);
   ASSERT_EQ(outcomes.size(), 1u);
-  EXPECT_TRUE(outcomes[0].ok) << outcomes[0].error;
+  EXPECT_EQ(outcomes[0].status, RunStatus::kOk) << outcomes[0].error;
   EXPECT_EQ(outcomes[0].attempts, 2u);
   EXPECT_EQ(outcomes[0].report.total_energy, 4.5);
 }
@@ -202,7 +202,7 @@ TEST(Isolation, DeterministicCrashWithRetryStaysCrashed) {
   cfg.retry_transient = true;
   const Campaign pool(cfg);
   const auto outcomes = pool.run(specs);
-  EXPECT_FALSE(outcomes[0].ok);
+  EXPECT_NE(outcomes[0].status, RunStatus::kOk);
   EXPECT_EQ(outcomes[0].status, RunStatus::kCrashed);
   EXPECT_EQ(outcomes[0].attempts, 2u);
 }

@@ -33,7 +33,6 @@ RunOutcome sample_outcome(std::size_t index) {
   RunOutcome out;
   out.index = index;
   out.name = "cfg/" + std::to_string(index);
-  out.ok = true;
   out.status = RunStatus::kOk;
   out.wall_seconds = 0.1 + static_cast<double>(index);
   out.attempts = 1;
@@ -56,7 +55,6 @@ RunOutcome failed_outcome() {
   RunOutcome out;
   out.index = 3;
   out.name = "bad \"quoted\"\nname";
-  out.ok = false;
   out.status = RunStatus::kCrashed;
   out.term_signal = SIGSEGV;
   out.error = "worker crashed with signal 11 (SIGSEGV)";
@@ -70,7 +68,6 @@ RunOutcome failed_outcome() {
 void expect_outcomes_equal(const RunOutcome& a, const RunOutcome& b) {
   EXPECT_EQ(a.index, b.index);
   EXPECT_EQ(a.name, b.name);
-  EXPECT_EQ(a.ok, b.ok);
   EXPECT_EQ(a.status, b.status);
   EXPECT_EQ(a.term_signal, b.term_signal);
   EXPECT_EQ(a.error, b.error);
@@ -302,7 +299,7 @@ TEST_F(JournalTest, ResumeSkipsJournaledRunsAndRunsTheRest) {
     Campaign::RunOptions opts;
     opts.journal = &writer;
     const auto first = pool.run({specs[0]}, opts);
-    ASSERT_TRUE(first[0].ok) << first[0].error;
+    ASSERT_EQ(first[0].status, RunStatus::kOk) << first[0].error;
   }
   ASSERT_EQ(runs0, 1);
 
@@ -317,9 +314,9 @@ TEST_F(JournalTest, ResumeSkipsJournaledRunsAndRunsTheRest) {
   EXPECT_EQ(runs0, 1) << "journaled run must not re-execute";
   EXPECT_EQ(runs1, 1);
   ASSERT_EQ(outcomes.size(), 2u);
-  EXPECT_TRUE(outcomes[0].ok);
+  EXPECT_EQ(outcomes[0].status, RunStatus::kOk);
   EXPECT_TRUE(outcomes[0].resumed);
-  EXPECT_TRUE(outcomes[1].ok);
+  EXPECT_EQ(outcomes[1].status, RunStatus::kOk);
   EXPECT_FALSE(outcomes[1].resumed);
   EXPECT_EQ(outcomes[0].report.total_energy, 1.0);
   EXPECT_EQ(outcomes[1].report.total_energy, 2.0);
@@ -371,7 +368,7 @@ TEST_F(JournalTest, AppendFailureIsDeferredNotFatalWhenRequested) {
   const auto outcomes = pool.run(specs, opts);
   EXPECT_EQ(runs, 1);
   ASSERT_EQ(outcomes.size(), 1u);
-  EXPECT_TRUE(outcomes[0].ok) << outcomes[0].error;
+  EXPECT_EQ(outcomes[0].status, RunStatus::kOk) << outcomes[0].error;
   EXPECT_NE(journal_error.find("append"), std::string::npos) << journal_error;
 
   // Without it, the legacy contract: run() completes, then throws.
@@ -458,7 +455,7 @@ TEST_F(JournalTest, KillResumeReportIsByteIdentical) {
   opts.resume = &loaded.outcomes;
   const auto resumed = pool.run(kill_specs(/*lethal=*/false), opts);
   ASSERT_EQ(resumed.size(), 4u);
-  for (const auto& o : resumed) EXPECT_TRUE(o.ok) << o.error;
+  for (const auto& o : resumed) EXPECT_EQ(o.status, RunStatus::kOk) << o.error;
 
   // The oracle: an uninterrupted campaign over the same specs.
   const auto uninterrupted = pool.run(kill_specs(/*lethal=*/false));

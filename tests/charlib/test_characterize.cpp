@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "bits_digest.hpp"
 #include "power/activity.hpp"
 #include "sim/report.hpp"
 
@@ -141,59 +142,64 @@ TEST(Characterize, DeterministicForFixedSeed) {
   EXPECT_EQ(a.fit.coefficients, b.fit.coefficients);
 }
 
-// -- scalar vs bit-parallel engine regression -------------------------------
-// The bit-parallel engine maps trial 64*b+j to lane j of batch b and
-// accounts per-lane energy in the scalar engine's net order, so every
-// per-sample reference energy -- and therefore every fitted coefficient
-// -- must be EXACTLY equal, not merely within tolerance. Sample counts
-// are deliberately not multiples of 64 to exercise partial batches.
+// -- golden values from the scalar reference engine --------------------------
+// The flows run on the 64-lane gate::BitSim, whose per-lane accounting
+// replays the scalar gate::GateSim net-order scan. Every constant below
+// was recorded by driving the same stimulus through a scalar GateSim one
+// trial at a time, so the checks are exact: a digest of every sample's
+// IEEE-754 energy and feature bits, plus the fitted coefficients and
+// accuracy figures as hexfloat literals.
+// Sample counts are deliberately not multiples of 64 to exercise partial
+// batches.
+
+using testutil::BitsDigest;
+
+template <class Characterization>
+std::uint64_t samples_digest(const Characterization& c) {
+  BitsDigest d;
+  for (const Sample& s : c.samples) {
+    d.add(s.energy);
+    for (unsigned f = 0; f < s.n_features; ++f) d.add(s.features[f]);
+  }
+  return d.value();
+}
 
 TEST(CharacterizeEngines, DecoderBitParallelMatchesScalarExactly) {
-  const auto s = characterize_decoder(8, 330, 42, gate::Technology::default_2003(),
-                                      Engine::kScalar);
-  const auto b = characterize_decoder(8, 330, 42, gate::Technology::default_2003(),
-                                      Engine::kBitParallel);
-  ASSERT_EQ(s.samples.size(), b.samples.size());
-  for (std::size_t i = 0; i < s.samples.size(); ++i) {
-    ASSERT_EQ(s.samples[i].energy, b.samples[i].energy) << "sample " << i;
-    ASSERT_EQ(s.samples[i].features, b.samples[i].features) << "sample " << i;
-  }
-  EXPECT_EQ(s.fit.coefficients, b.fit.coefficients);
-  EXPECT_EQ(s.fit.r_squared, b.fit.r_squared);
-  EXPECT_EQ(s.paper_model.total_energy_ref, b.paper_model.total_energy_ref);
+  const auto r = characterize_decoder(8, 330, 42);
+  ASSERT_EQ(r.samples.size(), 330u);
+  EXPECT_EQ(samples_digest(r), 0x339ecc87576c2c67ull);
+  EXPECT_EQ(r.fit.coefficients, (std::vector<double>{0x1.21aa118aa7b6dp-41,
+                                                     0x1.2a3110d2dc312p-41}));
+  EXPECT_EQ(r.fit.r_squared, 0x1.8b1d2c268d978p-1);
+  EXPECT_EQ(r.paper_model.total_energy_ref, 0x1.dfa5d155856b3p-32);
+  EXPECT_EQ(r.paper_model.mean_abs_error, 0x1.80a99eaa0612bp-43);
 }
 
 TEST(CharacterizeEngines, MuxBitParallelMatchesScalarExactly) {
-  const auto s =
-      characterize_mux(16, 3, 250, 9, gate::Technology::default_2003(),
-                       Engine::kScalar);
-  const auto b =
-      characterize_mux(16, 3, 250, 9, gate::Technology::default_2003(),
-                       Engine::kBitParallel);
-  ASSERT_EQ(s.samples.size(), b.samples.size());
-  for (std::size_t i = 0; i < s.samples.size(); ++i) {
-    ASSERT_EQ(s.samples[i].energy, b.samples[i].energy) << "sample " << i;
-    ASSERT_EQ(s.samples[i].features, b.samples[i].features) << "sample " << i;
-  }
-  EXPECT_EQ(s.fit.coefficients, b.fit.coefficients);
-  EXPECT_EQ(s.calibrated.k_in, b.calibrated.k_in);
-  EXPECT_EQ(s.calibrated.k_sel, b.calibrated.k_sel);
-  EXPECT_EQ(s.calibrated.k_out, b.calibrated.k_out);
-  EXPECT_EQ(s.fitted_model.mean_abs_error, b.fitted_model.mean_abs_error);
+  const auto r = characterize_mux(16, 3, 250, 9);
+  ASSERT_EQ(r.samples.size(), 250u);
+  EXPECT_EQ(samples_digest(r), 0x2b3eb43d591963e9ull);
+  EXPECT_EQ(r.fit.coefficients,
+            (std::vector<double>{0x1.e5832c8e6b285p-43, 0x1.889c3739e0034p-44,
+                                 0x1.325a078cb41e8p-40, 0x1.c198acf18df19p-42}));
+  EXPECT_EQ(r.fit.r_squared, 0x1.ce38df1f25dc7p-1);
+  EXPECT_EQ(r.calibrated.k_in, 0x1.99de2e9245e19p+1);
+  EXPECT_EQ(r.calibrated.k_sel, 0x1.3fd1585c5e48dp+1);
+  EXPECT_EQ(r.calibrated.k_out, 0x1.777cb78159ef7p+1);
+  EXPECT_EQ(r.fitted_model.mean_abs_error, 0x1.879af4900cddbp-42);
+  EXPECT_EQ(r.default_model.mean_abs_error, 0x1.bd95bf27c2c07p-40);
 }
 
 TEST(CharacterizeEngines, ArbiterBitParallelMatchesScalarExactly) {
-  const auto s = characterize_arbiter(3, 470, 13, gate::Technology::default_2003(),
-                                      Engine::kScalar);
-  const auto b = characterize_arbiter(3, 470, 13, gate::Technology::default_2003(),
-                                      Engine::kBitParallel);
-  ASSERT_EQ(s.samples.size(), b.samples.size());
-  for (std::size_t i = 0; i < s.samples.size(); ++i) {
-    ASSERT_EQ(s.samples[i].energy, b.samples[i].energy) << "cycle " << i;
-    ASSERT_EQ(s.samples[i].features, b.samples[i].features) << "cycle " << i;
-  }
-  EXPECT_EQ(s.fit.coefficients, b.fit.coefficients);
-  EXPECT_EQ(s.fsm_model.total_energy_ref, b.fsm_model.total_energy_ref);
+  const auto r = characterize_arbiter(3, 470, 13);
+  ASSERT_EQ(r.samples.size(), 470u);
+  EXPECT_EQ(samples_digest(r), 0xb140f4027b67fb31ull);
+  EXPECT_EQ(r.fit.coefficients,
+            (std::vector<double>{0x1.4ed3f3f2ce1c5p-48, 0x1.2a4b402401ddbp-43,
+                                 0x1.4a8c6827be6c4p-40}));
+  EXPECT_EQ(r.fit.r_squared, 0x1.f36c2f010eb61p-1);
+  EXPECT_EQ(r.fsm_model.total_energy_ref, 0x1.d73f893be2028p-33);
+  EXPECT_EQ(r.fsm_model.mean_abs_error, 0x1.b7ce74ee26f48p-43);
 }
 
 }  // namespace

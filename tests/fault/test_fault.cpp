@@ -198,8 +198,8 @@ TEST(FaultInjector, SameSeedBitIdenticalAcrossThreadCounts) {
   const auto parallel = campaign::Campaign({.threads = 4}).run(specs);
   ASSERT_EQ(serial.size(), parallel.size());
   for (std::size_t i = 0; i < serial.size(); ++i) {
-    ASSERT_TRUE(serial[i].ok) << serial[i].error;
-    ASSERT_TRUE(parallel[i].ok) << parallel[i].error;
+    ASSERT_EQ(serial[i].status, campaign::RunStatus::kOk) << serial[i].error;
+    ASSERT_EQ(parallel[i].status, campaign::RunStatus::kOk) << parallel[i].error;
     // Same fault seed => same schedule and the same joules, bit for bit.
     EXPECT_EQ(std::memcmp(&serial[i].report.total_energy,
                           &parallel[i].report.total_energy, sizeof(double)),

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "ahb/ahb.hpp"
+#include "bits_digest.hpp"
 #include "power/power.hpp"
 #include "sim/sim.hpp"
 
@@ -106,32 +107,50 @@ TEST(Cosim, ArbiterModelTracksGateLevelOnLiveTraffic) {
   EXPECT_LT(r, 3.0);
 }
 
-TEST(Cosim, BatchedEngineMatchesPerCycleExactly) {
-  // Two cross-checks watch the same live bus: one evaluates the gate
-  // structures cycle by cycle, the other buffers 64 cycles and replays
-  // them as BitSim lanes. Per-cycle gate energies must be bit-identical.
-  CosimBench b;
-  auto batched = std::make_unique<GateLevelCrossCheck>(
-      &b.top, "cosimb", b.bus, gate::Technology::default_2003(),
-      GateLevelCrossCheck::Engine::kBatched);
-  ASSERT_EQ(batched->engine(), GateLevelCrossCheck::Engine::kBatched);
-  b.run_cycles(500);  // not a multiple of 64: final flush is partial
+// -- golden values from the scalar per-cycle reference ------------------------
+// The cross-check replays 64 buffered bus cycles as the lanes of one
+// gate::BitSim pass. Every constant below was recorded by driving the
+// same live stimulus into scalar gate::GateSim structures one bus cycle
+// at a time: exact digests of each cycle's IEEE-754 gate and model
+// energies, plus the series totals as hexfloat literals.
 
-  const CosimSeries& mux_pc = b.check->mux_series();
-  const CosimSeries& mux_bt = batched->mux_series();  // flushes the tail
-  ASSERT_EQ(mux_bt.gate.size(), mux_pc.gate.size());
-  ASSERT_EQ(mux_bt.model.size(), mux_pc.model.size());
-  for (std::size_t i = 0; i < mux_pc.gate.size(); ++i) {
-    ASSERT_EQ(mux_bt.gate[i], mux_pc.gate[i]) << "mux cycle " << i;
-    ASSERT_EQ(mux_bt.model[i], mux_pc.model[i]) << "mux cycle " << i;
-  }
-  const CosimSeries& arb_pc = b.check->arbiter_series();
-  const CosimSeries& arb_bt = batched->arbiter_series();
-  ASSERT_EQ(arb_bt.gate.size(), arb_pc.gate.size());
-  for (std::size_t i = 0; i < arb_pc.gate.size(); ++i) {
-    ASSERT_EQ(arb_bt.gate[i], arb_pc.gate[i]) << "arbiter cycle " << i;
-    ASSERT_EQ(arb_bt.model[i], arb_pc.model[i]) << "arbiter cycle " << i;
-  }
+using testutil::BitsDigest;
+
+std::uint64_t series_digest(const std::vector<double>& v) {
+  BitsDigest d;
+  for (double e : v) d.add(e);
+  return d.value();
+}
+
+struct SeriesGolden {
+  std::size_t cycles;
+  std::uint64_t gate_digest, model_digest;
+  double gate_total, model_total;
+};
+
+void expect_series(const CosimSeries& s, const SeriesGolden& want,
+                   const char* what) {
+  SCOPED_TRACE(what);
+  ASSERT_EQ(s.gate.size(), want.cycles);
+  ASSERT_EQ(s.model.size(), want.cycles);
+  EXPECT_EQ(series_digest(s.gate), want.gate_digest);
+  EXPECT_EQ(series_digest(s.model), want.model_digest);
+  EXPECT_EQ(s.gate_total(), want.gate_total);
+  EXPECT_EQ(s.model_total(), want.model_total);
+}
+
+TEST(Cosim, BatchedEngineMatchesPerCycleExactly) {
+  CosimBench b;
+  b.run_cycles(500);  // 499 cycles, not a multiple of 64: final flush is partial
+  ASSERT_EQ(b.check->cycles(), 499u);
+  expect_series(b.check->mux_series(),
+                {499, 0x99d45e64d339dc66ull, 0x8032c10ad845da4bull,
+                 0x1.71fb1419069e7p-31, 0x1.f826e09df1c1fp-32},
+                "mux");
+  expect_series(b.check->arbiter_series(),
+                {499, 0xe2a2a9bb4d559e84ull, 0xdf4055bb1c24a568ull,
+                 0x1.f9f5bb676e85dp-36, 0x1.23eb19836e372p-35},
+                "arbiter");
 }
 
 TEST(Cosim, BatchedEngineSurvivesMidRunFlush) {
@@ -139,26 +158,18 @@ TEST(Cosim, BatchedEngineSurvivesMidRunFlush) {
   // continue seamlessly (the carry keeps lane 0's "previous" assignment
   // correct across the flush boundary).
   CosimBench b;
-  auto batched = std::make_unique<GateLevelCrossCheck>(
-      &b.top, "cosimb", b.bus, gate::Technology::default_2003(),
-      GateLevelCrossCheck::Engine::kBatched);
   b.run_cycles(100);
-  const std::size_t at_100 = batched->mux_series().gate.size();  // partial flush
-  EXPECT_EQ(at_100, batched->cycles());
+  EXPECT_EQ(b.check->mux_series().gate.size(), b.check->cycles());  // partial flush
   b.run_cycles(200);
-
-  const CosimSeries& mux_pc = b.check->mux_series();
-  const CosimSeries& mux_bt = batched->mux_series();
-  ASSERT_EQ(mux_bt.gate.size(), mux_pc.gate.size());
-  for (std::size_t i = 0; i < mux_pc.gate.size(); ++i) {
-    ASSERT_EQ(mux_bt.gate[i], mux_pc.gate[i]) << "mux cycle " << i;
-  }
-  const CosimSeries& arb_pc = b.check->arbiter_series();
-  const CosimSeries& arb_bt = batched->arbiter_series();
-  ASSERT_EQ(arb_bt.gate.size(), arb_pc.gate.size());
-  for (std::size_t i = 0; i < arb_pc.gate.size(); ++i) {
-    ASSERT_EQ(arb_bt.gate[i], arb_pc.gate[i]) << "arbiter cycle " << i;
-  }
+  ASSERT_EQ(b.check->cycles(), 299u);
+  expect_series(b.check->mux_series(),
+                {299, 0xc981ae1a1970d4ecull, 0xe8871eb2eee98559ull,
+                 0x1.bb71ff1e1f9c3p-32, 0x1.2d1406854c097p-32},
+                "mux");
+  expect_series(b.check->arbiter_series(),
+                {299, 0x687fcabfac736204ull, 0x8ab45d0c17ffc620ull,
+                 0x1.4f435992f49cdp-36, 0x1.75199452b7b57p-36},
+                "arbiter");
 }
 
 TEST(Cosim, QuietBusMeansQuietGateStructures) {

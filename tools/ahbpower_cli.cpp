@@ -635,7 +635,7 @@ int run_sweep(const Options& o) {
               "transfers", "total energy", "data %", "arb %");
   int rc = 0;
   for (const auto& out : outcomes) {
-    if (!out.ok) {
+    if (out.status != campaign::RunStatus::kOk) {
       std::printf("%-10s | %s: %s\n", out.name.c_str(),
                   campaign::to_string(out.status), out.error.c_str());
       rc = 3;

@@ -308,7 +308,9 @@ int run_emit_hostile(const char* out_dir) {
   opts.events = &events;
   opts.progress = &tracker;
   const std::vector<campaign::RunOutcome> outcomes = pool.run(specs, opts);
-  if (outcomes.size() != 2 || !outcomes[0].ok || outcomes[1].ok) {
+  if (outcomes.size() != 2 || 
+      outcomes[0].status != campaign::RunStatus::kOk ||
+      outcomes[1].status == campaign::RunStatus::kOk) {
     die("emit-hostile campaign did not produce the expected outcomes");
   }
   if (live_status.empty()) die("live status was never captured");

@@ -37,6 +37,9 @@
 // present its per-status counts must equal the run_finish events
 // actually observed -- the replay guarantee behind post-mortems.
 //
+// "ahbpower.bench_gatesim.v2" artifacts must carry an aggregate
+// bitparallel_ms equal to the sum of the per-flow times (1e-9 relative).
+//
 // "ahbpower.status.v1" snapshots additionally get their counts
 // cross-checked: done == ok+failed+crashed+timed_out+cancelled,
 // in_flight == workers[].length, stalled_workers == the stalled
@@ -194,6 +197,26 @@ void check_txns_conservation(const Value& doc,
                        std::to_string(total->number) + " J (rel err " +
                        std::to_string(rel) + " > 1e-9)");
     }
+  }
+}
+
+/// The gate-throughput bench's aggregate characterization time must be
+/// the sum of its per-flow times.
+void check_gatesim_aggregate(const Value& doc, std::vector<std::string>& errors) {
+  const Value* flows = doc.find("characterization");
+  const Value* agg = doc.find("aggregate");
+  const Value* total = agg != nullptr ? agg->find("bitparallel_ms") : nullptr;
+  if (flows == nullptr || total == nullptr) return;  // schema already flagged
+  double sum = 0.0;
+  for (const Value& f : flows->array) {
+    if (const Value* ms = f.find("bitparallel_ms")) sum += ms->number;
+  }
+  const double rel = rel_err(sum, total->number);
+  if (rel > 1e-9) {
+    errors.push_back("characterization: per-flow bitparallel_ms sum to " +
+                     std::to_string(sum) + " but aggregate.bitparallel_ms is " +
+                     std::to_string(total->number) + " (rel err " +
+                     std::to_string(rel) + " > 1e-9)");
   }
 }
 
@@ -691,6 +714,9 @@ int main(int argc, char** argv) {
     }
     if (id->string == "ahbpower.status.v1") {
       check_status_consistency(doc, errors);
+    }
+    if (id->string == "ahbpower.bench_gatesim.v2") {
+      check_gatesim_aggregate(doc, errors);
     }
     if (!errors.empty()) {
       for (const std::string& e : errors) {
