@@ -7,8 +7,9 @@
 //
 // `bench_overhead --telemetry-guard` skips google-benchmark and instead
 // enforces the observability contract's overhead guarantee: attaching a
-// *disabled* metrics registry must cost < 2% wall clock versus no
-// registry at all (min-of-N, interleaved A/B). Exit 1 on violation.
+// *disabled* metrics registry must cost < 2% versus no registry at all
+// (median of per-pair ratios over interleaved ABBA pairs, each sample in
+// thread CPU time). Exit 1 on violation.
 // `bench_overhead --txn-guard` does the same for the transaction tracer:
 // compiled in but runtime-disabled must cost < 3% versus no tracer.
 // `bench_overhead --events-guard` does it for the campaign event log: a
@@ -17,12 +18,15 @@
 
 #include <benchmark/benchmark.h>
 
-#include <chrono>
+#include <time.h>
+
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
-#include <limits>
-
+#include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "campaign/campaign.hpp"
@@ -136,86 +140,124 @@ void BM_PowerTxnTrace(benchmark::State& state) {
 BENCHMARK(BM_PowerTxnTrace)->Unit(benchmark::kMillisecond);
 
 // ---------------------------------------------------------------------------
-// --telemetry-guard: assert the disabled-registry overhead bound.
+// Overhead guards. Every guard times the same workload without (A) and
+// with (B) the disabled feature in interleaved ABBA pairs -- AB, BA, AB,
+// ... -- so drift and warm-up hit both sides alike, and measures each
+// sample in the calling thread's CPU time, so time the thread spends
+// descheduled never counts. The verdict is the median of the per-pair
+// overheads B/A - 1, which a few disturbed samples cannot move. On a
+// noisy host the guard keeps adding pairs until the median's 95%
+// confidence interval lies wholly below the bound, or until a pair
+// budget runs out and the median alone decides.
 
-double wall_seconds_once(bool with_registry) {
-  const auto t0 = std::chrono::steady_clock::now();
+/// CPU seconds the calling thread spent so far.
+double thread_cpu_seconds() {
+  timespec ts{};
+  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) + static_cast<double>(ts.tv_nsec) * 1e-9;
+}
+
+/// The q-quantile of sorted `v` (linear interpolation).
+double quantile(const std::vector<double>& v, double q) {
+  const double pos = q * static_cast<double>(v.size() - 1);
+  const auto lo = static_cast<std::size_t>(pos);
+  const std::size_t hi = std::min(lo + 1, v.size() - 1);
+  return v[lo] + (pos - static_cast<double>(lo)) * (v[hi] - v[lo]);
+}
+
+std::vector<double> sorted(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  return v;
+}
+
+/// Distribution-free 95% confidence interval of the median of sorted
+/// `v`: the order statistics n/2 -+ 0.98 sqrt(n) (normal approximation
+/// to the binomial).
+std::pair<double, double> median_ci(const std::vector<double>& v) {
+  const double n = static_cast<double>(v.size());
+  const double half = 0.98 * std::sqrt(n);
+  const auto lo = static_cast<std::size_t>(std::max(0.0, std::floor(n / 2 - half)));
+  const auto hi = static_cast<std::size_t>(std::min(n - 1, std::ceil(n / 2 + half)));
+  return {v[lo], v[hi]};
+}
+
+/// Runs ABBA pairs of `sample(false)` (A) and `sample(true)` (B), each
+/// returning its thread-CPU seconds -- at least `min_pairs`, at most
+/// `max_pairs` -- and checks the median per-pair overhead B/A - 1
+/// against `bound`. Returns the process exit status.
+int run_guard(const char* label, const char* b_name, double bound,
+              int min_pairs, int max_pairs,
+              const std::function<double(bool)>& sample) {
+  sample(false);  // warm up code and allocator once
+  std::vector<double> a, b, overhead;
+  std::pair<double, double> ci;
+  for (int i = 0; i < max_pairs; ++i) {
+    double ta = 0, tb = 0;
+    if (i % 2 == 0) {
+      ta = sample(false);
+      tb = sample(true);
+    } else {
+      tb = sample(true);
+      ta = sample(false);
+    }
+    a.push_back(ta);
+    b.push_back(tb);
+    overhead.push_back(tb / ta - 1.0);
+    if (static_cast<int>(overhead.size()) < min_pairs) continue;
+    ci = median_ci(sorted(overhead));
+    // Stop early only on a clear pass: a burst of host noise over a few
+    // pairs can fake an overhead, so a failing verdict needs the budget.
+    if (ci.second < bound) break;
+  }
+  const std::vector<double> sa = sorted(a), sb = sorted(b), so = sorted(overhead);
+  const double delta = quantile(so, 0.5);
+  std::printf("%s: %zu ABBA pairs, thread CPU time per sample\n", label,
+              so.size());
+  std::printf("  %-17s median %.3f ms (q1 %.3f, q3 %.3f)\n", "baseline",
+              quantile(sa, 0.5) * 1e3, quantile(sa, 0.25) * 1e3,
+              quantile(sa, 0.75) * 1e3);
+  std::printf("  %-17s median %.3f ms (q1 %.3f, q3 %.3f)\n", b_name,
+              quantile(sb, 0.5) * 1e3, quantile(sb, 0.25) * 1e3,
+              quantile(sb, 0.75) * 1e3);
+  std::printf("  median pair overhead %+.2f%% (95%% CI %+.2f%% .. %+.2f%%, "
+              "q1 %+.2f%%, q3 %+.2f%%; bound < %.0f%%)\n",
+              delta * 100.0, ci.first * 100.0, ci.second * 100.0,
+              quantile(so, 0.25) * 100.0, quantile(so, 0.75) * 100.0,
+              bound * 100.0);
+  if (delta >= bound) {
+    std::fprintf(stderr, "FAIL: %s exceeds the overhead bound\n", label);
+    return 1;
+  }
+  std::puts("PASS");
+  return 0;
+}
+
+// --telemetry-guard: a disabled metrics registry costs < 2%.
+double telemetry_sample(bool with_registry) {
+  const double t0 = thread_cpu_seconds();
   telemetry::MetricsRegistry metrics;
   metrics.set_enabled(false);
   bench::PaperSystem sys({.metrics = with_registry ? &metrics : nullptr});
   sys.run(kSimTime);
   benchmark::DoNotOptimize(sys.est->total_energy());
-  const auto t1 = std::chrono::steady_clock::now();
-  return std::chrono::duration<double>(t1 - t0).count();
+  return thread_cpu_seconds() - t0;
 }
 
-int run_telemetry_guard() {
-  constexpr int kReps = 9;
-  constexpr double kMaxDelta = 0.02;  // contract: < 2%
-  // Interleave A/B so clock drift and cache warmup hit both sides
-  // equally; compare minima, the usual low-noise wall-clock statistic.
-  double base = std::numeric_limits<double>::infinity();
-  double off = std::numeric_limits<double>::infinity();
-  wall_seconds_once(false);  // warm up code and allocator once
-  for (int i = 0; i < kReps; ++i) {
-    base = std::min(base, wall_seconds_once(false));
-    off = std::min(off, wall_seconds_once(true));
-  }
-  const double delta = (off - base) / base;
-  std::printf("telemetry-off guard: baseline %.3f ms, disabled-registry "
-              "%.3f ms, delta %+.2f%% (bound < %.0f%%)\n",
-              base * 1e3, off * 1e3, delta * 100.0, kMaxDelta * 100.0);
-  if (delta >= kMaxDelta) {
-    std::fputs("FAIL: disabled telemetry exceeds the overhead bound\n", stderr);
-    return 1;
-  }
-  std::puts("PASS");
-  return 0;
-}
-
-// ---------------------------------------------------------------------------
-// --txn-guard: assert the disabled-tracer overhead bound.
-
-double txn_wall_seconds_once(bool with_tracer) {
+// --txn-guard: a runtime-disabled transaction tracer costs < 3%.
+double txn_sample(bool with_tracer) {
   // 3x the benchmark duration per sample: the disabled tracer costs one
-  // branch, so the guard's enemy is scheduler noise, and longer samples
-  // average bursts out.
-  const auto t0 = std::chrono::steady_clock::now();
+  // branch, so longer samples keep timer granularity out of the ratio.
+  const double t0 = thread_cpu_seconds();
   bench::PaperSystem sys({.txn_trace = with_tracer});
   if (with_tracer) sys.est->txn_tracer()->set_enabled(false);
   sys.run(kSimTime * 3);
   benchmark::DoNotOptimize(sys.est->total_energy());
-  const auto t1 = std::chrono::steady_clock::now();
-  return std::chrono::duration<double>(t1 - t0).count();
+  return thread_cpu_seconds() - t0;
 }
 
-int run_txn_guard() {
-  constexpr int kReps = 13;
-  constexpr double kMaxDelta = 0.03;  // contract: < 3%
-  double base = std::numeric_limits<double>::infinity();
-  double off = std::numeric_limits<double>::infinity();
-  txn_wall_seconds_once(false);  // warm up code and allocator once
-  for (int i = 0; i < kReps; ++i) {
-    base = std::min(base, txn_wall_seconds_once(false));
-    off = std::min(off, txn_wall_seconds_once(true));
-  }
-  const double delta = (off - base) / base;
-  std::printf("txn-trace guard: baseline %.3f ms, disabled-tracer %.3f ms, "
-              "delta %+.2f%% (bound < %.0f%%)\n",
-              base * 1e3, off * 1e3, delta * 100.0, kMaxDelta * 100.0);
-  if (delta >= kMaxDelta) {
-    std::fputs("FAIL: disabled txn tracing exceeds the overhead bound\n",
-               stderr);
-    return 1;
-  }
-  std::puts("PASS");
-  return 0;
-}
-
-// ---------------------------------------------------------------------------
-// --events-guard: assert the disabled-event-log overhead bound.
-
-double events_wall_seconds_once(bool with_events) {
+// --events-guard: a campaign narrating into a disabled EventLog (plus an
+// attached ProgressTracker) costs < 2%.
+double events_sample(bool with_events) {
   // Many tiny runs so the per-run narration path (run_start/run_finish
   // emission, tracker bookkeeping) dominates over simulation work --
   // the worst case for the disabled sink's early-out branch.
@@ -236,6 +278,8 @@ double events_wall_seconds_once(bool with_events) {
                        return r;
                      }});
   }
+  // One worker: the campaign runs every spec inline on this thread, so
+  // its CPU clock sees all of the work.
   campaign::Campaign::Config ccfg;
   ccfg.threads = 1;
   const campaign::Campaign pool(ccfg);
@@ -244,34 +288,10 @@ double events_wall_seconds_once(bool with_events) {
     opts.events = &log;
     opts.progress = &tracker;
   }
-  const auto t0 = std::chrono::steady_clock::now();
+  const double t0 = thread_cpu_seconds();
   const auto outcomes = pool.run(specs, opts);
   benchmark::DoNotOptimize(outcomes.size());
-  const auto t1 = std::chrono::steady_clock::now();
-  return std::chrono::duration<double>(t1 - t0).count();
-}
-
-int run_events_guard() {
-  constexpr int kReps = 9;
-  constexpr double kMaxDelta = 0.02;  // contract: < 2%
-  double base = std::numeric_limits<double>::infinity();
-  double off = std::numeric_limits<double>::infinity();
-  events_wall_seconds_once(false);  // warm up code and allocator once
-  for (int i = 0; i < kReps; ++i) {
-    base = std::min(base, events_wall_seconds_once(false));
-    off = std::min(off, events_wall_seconds_once(true));
-  }
-  const double delta = (off - base) / base;
-  std::printf("events-off guard: baseline %.3f ms, disabled-log %.3f ms, "
-              "delta %+.2f%% (bound < %.0f%%)\n",
-              base * 1e3, off * 1e3, delta * 100.0, kMaxDelta * 100.0);
-  if (delta >= kMaxDelta) {
-    std::fputs("FAIL: disabled event log exceeds the overhead bound\n",
-               stderr);
-    return 1;
-  }
-  std::puts("PASS");
-  return 0;
+  return thread_cpu_seconds() - t0;
 }
 
 }  // namespace
@@ -279,13 +299,16 @@ int run_events_guard() {
 int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--telemetry-guard") == 0) {
-      return run_telemetry_guard();
+      return run_guard("telemetry-off guard", "disabled-registry", 0.02, 10,
+                       200, telemetry_sample);
     }
     if (std::strcmp(argv[i], "--txn-guard") == 0) {
-      return run_txn_guard();
+      return run_guard("txn-trace guard", "disabled-tracer", 0.03, 10, 100,
+                       txn_sample);
     }
     if (std::strcmp(argv[i], "--events-guard") == 0) {
-      return run_events_guard();
+      return run_guard("events-off guard", "disabled-log", 0.02, 10, 200,
+                       events_sample);
     }
   }
   benchmark::Initialize(&argc, argv);

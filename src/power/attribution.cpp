@@ -76,7 +76,7 @@ int TransactionTracer::start_txn(const CycleView& v, std::uint64_t cycle) {
   o.rec.id = next_id_++;
   o.rec.master = v.hmaster;
   o.rec.slave = 0xFF;
-  o.rec.kind = ahb::to_string(static_cast<ahb::Burst>(v.hburst & 7));
+  o.rec.kind = static_cast<telemetry::TxnKind>(v.hburst & 7);
   o.rec.write = v.hwrite;
   o.rec.start_tick = cycle;
   if (v.hmaster < req_since_.size() &&
@@ -106,8 +106,7 @@ void TransactionTracer::close_txn(int slot, std::uint64_t end_tick) {
   if (h_wait_ != nullptr) {
     h_wait_->observe(static_cast<double>(o.rec.wait_cycles));
   }
-  telemetry::append_txn_spans(spans_, o.rec);
-  log_.add(std::move(o.rec));
+  log_.add(o.rec);
   o.live = false;
 }
 
@@ -167,7 +166,7 @@ void TransactionTracer::on_cycle(const CycleView& v, const BlockEnergy& e) {
       data_open_ = start_txn(v, cycle);
       OpenTxn& o = open_[static_cast<std::size_t>(data_open_)];
       o.rec.master = v.hmaster_data;
-      o.rec.kind = "UNKNOWN";
+      o.rec.kind = telemetry::TxnKind::kUnknown;
       o.rec.write = v.data_write;
     }
     d_slot = data_open_;
@@ -251,6 +250,15 @@ void TransactionTracer::flush() {
     }
   }
   flushed_ = true;
+}
+
+telemetry::TraceEventLog TransactionTracer::spans() const {
+  telemetry::TraceEventLog spans;
+  spans.reserve(3 * log_.size());
+  for (const telemetry::TxnRecord& r : log_.records()) {
+    telemetry::append_txn_spans(spans, r);
+  }
+  return spans;
 }
 
 telemetry::TxnSummary TransactionTracer::summary(double total_energy_j) const {

@@ -96,8 +96,10 @@ public:
   [[nodiscard]] const std::vector<std::uint64_t>& master_txns() const {
     return master_txns_;
   }
-  /// Chrome-trace spans on per-master tracks (telemetry::txn_track_tid).
-  [[nodiscard]] const telemetry::TraceEventLog& spans() const { return spans_; }
+  /// Chrome-trace spans on per-master tracks (telemetry::txn_track_tid),
+  /// rendered from log() on each call: the run itself records only the
+  /// plain TxnRecords, so span rendering costs nothing per transaction.
+  [[nodiscard]] telemetry::TraceEventLog spans() const;
   /// Attribution totals + per-transaction stream header for the JSON
   /// exporter; total_energy_j is the caller's FSM total.
   [[nodiscard]] telemetry::TxnSummary summary(double total_energy_j) const;
@@ -139,7 +141,6 @@ private:
   int data_open_ = kNone;
 
   telemetry::TxnTraceLog log_;
-  telemetry::TraceEventLog spans_;
   EnergyAttributor attr_;
   std::vector<std::uint64_t> master_txns_;
 

@@ -1,8 +1,8 @@
 #include "telemetry/exporters.hpp"
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <ostream>
 
 #include "telemetry/atomic_file.hpp"
@@ -35,20 +35,31 @@ std::string json_escape(std::string_view s) {
 std::string json_number(double v) {
   if (!std::isfinite(v)) return "0";
   if (v == 0.0) return "0";
+  char buf[40];
+  char* const end = buf + sizeof buf;
   // Exact integers (within double's exact range) without a fraction.
   if (v == std::floor(v) && std::fabs(v) < 9.007199254740992e15) {
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "%.0f", v);
-    return buf;
+    return {buf, std::to_chars(buf, end, v, std::chars_format::fixed, 0).ptr};
   }
-  // Shortest precision that round-trips. Deterministic for a given
-  // value on every IEEE-754 platform.
-  char buf[40];
-  for (int prec = 1; prec <= 17; ++prec) {
-    std::snprintf(buf, sizeof buf, "%.*g", prec, v);
-    if (std::strtod(buf, nullptr) == v) break;
+  // The shortest "%.*g" that parses back to v. No precision below the
+  // digit count of the shortest round-trip form can round-trip, and that
+  // count almost always does; it can fall one short only where the
+  // round-trip interval is lopsided (at powers of two), so step up until
+  // the parse matches. Deterministic for a given value on every
+  // IEEE-754 platform.
+  char* const sci =
+      std::to_chars(buf, end, v, std::chars_format::scientific).ptr;
+  int prec = 0;
+  for (const char* p = buf; p != sci && *p != 'e'; ++p) {
+    if (*p >= '0' && *p <= '9') ++prec;
   }
-  return buf;
+  for (;; ++prec) {
+    char* const last =
+        std::to_chars(buf, end, v, std::chars_format::general, prec).ptr;
+    double back = 0.0;
+    std::from_chars(buf, last, back);
+    if (back == v || prec >= 17) return {buf, last};
+  }
 }
 
 namespace {

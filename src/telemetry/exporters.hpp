@@ -48,9 +48,15 @@ struct ExportMeta {
 /// One completed duration event on the trace timeline (rendered as a
 /// Chrome trace_event "X" slice): e.g. a run of consecutive bus cycles
 /// in the same power-FSM mode.
+///
+/// `name` and `category` are views, not copies: they must point at
+/// storage that outlives every log holding the event -- in practice
+/// string literals or static interned tables (power::to_string(BusMode),
+/// telemetry::txn_span_name). This keeps recording an event free of
+/// allocation on the simulation hot path.
 struct TraceEvent {
-  std::string name;          ///< slice label, e.g. "READ"
-  std::string category;      ///< trace_event "cat", e.g. "bus"
+  std::string_view name;      ///< slice label, e.g. "READ" (static lifetime)
+  std::string_view category;  ///< trace_event "cat", e.g. "bus" (static lifetime)
   std::uint64_t start_tick = 0;
   std::uint64_t dur_ticks = 0;
   int tid = 1;               ///< thread track (see ExportMeta::threads)
@@ -61,21 +67,21 @@ struct TraceEvent {
 
 /// Append-only log of duration events. Within one tid, events nest by
 /// containment (Chrome trace "X" semantics); emit parents before
-/// children that share a start tick.
+/// children that share a start tick. Names and categories follow the
+/// static-lifetime contract of TraceEvent.
 class TraceEventLog {
 public:
-  void add_complete(std::string name, std::string category,
+  void add_complete(std::string_view name, std::string_view category,
                     std::uint64_t start_tick, std::uint64_t dur_ticks) {
-    events_.push_back(TraceEvent{std::move(name), std::move(category),
-                                 start_tick, dur_ticks, 1, {}});
+    events_.push_back(TraceEvent{name, category, start_tick, dur_ticks, 1, {}});
   }
-  void add_complete(std::string name, std::string category,
+  void add_complete(std::string_view name, std::string_view category,
                     std::uint64_t start_tick, std::uint64_t dur_ticks, int tid,
                     std::string args_json) {
-    events_.push_back(TraceEvent{std::move(name), std::move(category),
-                                 start_tick, dur_ticks, tid,
+    events_.push_back(TraceEvent{name, category, start_tick, dur_ticks, tid,
                                  std::move(args_json)});
   }
+  void reserve(std::size_t n) { events_.reserve(n); }
   [[nodiscard]] const std::vector<TraceEvent>& events() const { return events_; }
   [[nodiscard]] std::size_t size() const { return events_.size(); }
   [[nodiscard]] bool empty() const { return events_.empty(); }

@@ -1,5 +1,6 @@
 #include "telemetry/txn_trace.hpp"
 
+#include <array>
 #include <ostream>
 
 #include "telemetry/atomic_file.hpp"
@@ -8,10 +9,33 @@ namespace ahbp::telemetry {
 
 namespace {
 
+/// Indexed by TxnKind.
+constexpr std::array<std::string_view, 9> kKindNames = {
+    "SINGLE", "INCR",   "WRAP4",  "INCR4",  "WRAP8",
+    "INCR8",  "WRAP16", "INCR16", "UNKNOWN"};
+
+/// Outer span labels, [kind][write].
+constexpr std::array<std::array<std::string_view, 2>, 9> kSpanNames = {{
+    {"SINGLE RD", "SINGLE WR"},
+    {"INCR RD", "INCR WR"},
+    {"WRAP4 RD", "WRAP4 WR"},
+    {"INCR4 RD", "INCR4 WR"},
+    {"WRAP8 RD", "WRAP8 WR"},
+    {"INCR8 RD", "INCR8 WR"},
+    {"WRAP16 RD", "WRAP16 WR"},
+    {"INCR16 RD", "INCR16 WR"},
+    {"UNKNOWN RD", "UNKNOWN WR"},
+}};
+
+std::size_t kind_index(TxnKind k) {
+  const auto i = static_cast<std::size_t>(k);
+  return i < kKindNames.size() ? i : static_cast<std::size_t>(TxnKind::kUnknown);
+}
+
 /// One record as a compact JSON object (shared by write_txn_json).
 void write_record(std::ostream& os, const TxnRecord& r) {
   os << "{\"id\": " << r.id << ", \"master\": " << r.master
-     << ", \"slave\": " << r.slave << ", \"kind\": \"" << json_escape(r.kind)
+     << ", \"slave\": " << r.slave << ", \"kind\": \"" << to_string(r.kind)
      << "\", \"write\": " << (r.write ? "true" : "false")
      << ", \"req_tick\": " << r.req_tick << ", \"start_tick\": " << r.start_tick
      << ", \"end_tick\": " << r.end_tick << ", \"arb_cycles\": " << r.arb_cycles
@@ -25,12 +49,19 @@ void write_record(std::ostream& os, const TxnRecord& r) {
 
 }  // namespace
 
+std::string_view to_string(TxnKind k) { return kKindNames[kind_index(k)]; }
+
+std::string_view txn_span_name(TxnKind k, bool write) {
+  return kSpanNames[kind_index(k)][write ? 1 : 0];
+}
+
 void write_txn_csv(std::ostream& os, const TxnTraceLog& log) {
   os << "txn,master,slave,kind,write,req_tick,start_tick,end_tick,"
         "arb_cycles,addr_cycles,data_beats,wait_cycles,busy_cycles,"
         "retries,splits,errors,energy_j\n";
   for (const TxnRecord& r : log.records()) {
-    os << r.id << ',' << r.master << ',' << r.slave << ',' << r.kind << ','
+    os << r.id << ',' << r.master << ',' << r.slave << ','
+       << to_string(r.kind) << ','
        << (r.write ? 'W' : 'R') << ',' << r.req_tick << ',' << r.start_tick
        << ',' << r.end_tick << ',' << r.arb_cycles << ',' << r.addr_cycles
        << ',' << r.data_beats << ',' << r.wait_cycles << ',' << r.busy_cycles
@@ -80,8 +111,8 @@ void append_txn_spans(TraceEventLog& spans, const TxnRecord& r) {
                      ", \"waits\": " + std::to_string(r.wait_cycles) +
                      ", \"retries\": " + std::to_string(r.retries) +
                      ", \"energy_j\": " + json_number(r.energy_j) + "}";
-  spans.add_complete(r.kind + (r.write ? " WR" : " RD"), "txn", r.req_tick,
-                     dur, tid, std::move(args));
+  spans.add_complete(txn_span_name(r.kind, r.write), "txn", r.req_tick, dur,
+                     tid, std::move(args));
   if (r.start_tick > r.req_tick) {
     spans.add_complete("arb", "txn", r.req_tick, r.start_tick - r.req_tick,
                        tid, {});

@@ -14,19 +14,43 @@
 
 #include <cstdint>
 #include <iosfwd>
-#include <string>
+#include <string_view>
 #include <vector>
 
 #include "telemetry/exporters.hpp"
 
 namespace ahbp::telemetry {
 
-/// One completed bus transaction, as reconstructed by a tracer.
+/// Burst kind of a transaction: the AHB HBURST[2:0] encoding, plus
+/// kUnknown for an orphan data phase whose address phase was never seen
+/// (a tracer attached mid-transfer).
+enum class TxnKind : std::uint8_t {
+  kSingle = 0,
+  kIncr = 1,
+  kWrap4 = 2,
+  kIncr4 = 3,
+  kWrap8 = 4,
+  kIncr8 = 5,
+  kWrap16 = 6,
+  kIncr16 = 7,
+  kUnknown = 8,
+};
+
+/// "SINGLE", "INCR4", ..., "UNKNOWN" (static storage).
+[[nodiscard]] std::string_view to_string(TxnKind k);
+
+/// The outer span label of a transaction, e.g. "INCR4 WR" or
+/// "SINGLE RD" (static storage, so it satisfies TraceEvent's lifetime
+/// contract).
+[[nodiscard]] std::string_view txn_span_name(TxnKind k, bool write);
+
+/// One completed bus transaction, as reconstructed by a tracer. Plain
+/// data: closing a transaction copies it into the log and nothing else.
 struct TxnRecord {
   std::uint64_t id = 0;        ///< sequence number, in start order
   unsigned master = 0;         ///< owning master index
   unsigned slave = 0xFF;       ///< addressed slave index (0xFF = none seen)
-  std::string kind;            ///< burst kind, e.g. "SINGLE", "INCR4"
+  TxnKind kind = TxnKind::kSingle;  ///< burst kind
   bool write = false;          ///< direction of the transfer
   std::uint64_t req_tick = 0;    ///< first cycle the master waited for grant
   std::uint64_t start_tick = 0;  ///< first address-phase cycle
@@ -45,7 +69,7 @@ struct TxnRecord {
 /// Append-only log of completed transactions, in completion order.
 class TxnTraceLog {
 public:
-  void add(TxnRecord r) { records_.push_back(std::move(r)); }
+  void add(const TxnRecord& r) { records_.push_back(r); }
   [[nodiscard]] const std::vector<TxnRecord>& records() const { return records_; }
   [[nodiscard]] std::size_t size() const { return records_.size(); }
   [[nodiscard]] bool empty() const { return records_.empty(); }
@@ -84,8 +108,11 @@ void write_txn_json(std::ostream& os, const TxnTraceLog& log,
 /// slice covering [req_tick, end_tick) on the master's track
 /// (tid = master + 2, clear of the bus-instruction track at tid 1),
 /// with nested "arb" and "xfer" child slices and the record's counters
-/// as args. Render the log with write_chrome_trace; name the tracks via
-/// ExportMeta::threads.
+/// as args. Spans are an export-time view: producers keep only the
+/// TxnTraceLog and render spans from it when a trace is written
+/// (power::TransactionTracer::spans()), so nothing here runs per
+/// simulated transaction. Render the result with write_chrome_trace;
+/// name the tracks via ExportMeta::threads.
 void append_txn_spans(TraceEventLog& spans, const TxnRecord& r);
 
 /// The Chrome-trace thread id carrying a master's transaction spans.

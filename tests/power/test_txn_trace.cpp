@@ -97,7 +97,7 @@ TEST(TxnTracer, SingleWriteWithArbWaitAndWaitState) {
   const telemetry::TxnRecord& r = tracer.log().records()[0];
   EXPECT_EQ(r.master, 1u);
   EXPECT_EQ(r.slave, 2u);
-  EXPECT_EQ(r.kind, "SINGLE");
+  EXPECT_EQ(telemetry::to_string(r.kind), "SINGLE");
   EXPECT_TRUE(r.write);
   EXPECT_EQ(r.req_tick, 0u);
   EXPECT_EQ(r.start_tick, 2u);
@@ -144,7 +144,7 @@ TEST(TxnTracer, Incr4BurstWithBusyBeat) {
 
   ASSERT_EQ(tracer.log().size(), 1u);
   const telemetry::TxnRecord& r = tracer.log().records()[0];
-  EXPECT_EQ(r.kind, "INCR4");
+  EXPECT_EQ(telemetry::to_string(r.kind), "INCR4");
   EXPECT_FALSE(r.write);
   EXPECT_EQ(r.arb_cycles, 0u);
   EXPECT_EQ(r.addr_cycles, 5u);  // 4 address beats + 1 BUSY
@@ -241,7 +241,8 @@ TEST(TxnTracer, MetricsPublication) {
 
 /// The paper's testbench with transaction tracing enabled.
 struct TxnBench {
-  TxnBench()
+  explicit TxnBench(
+      AhbPowerEstimator::Config cfg = AhbPowerEstimator::Config{.txn_trace = true})
       : top(nullptr, "top"),
         clk(&top, "clk", sim::SimTime::ns(10), 0.5, sim::SimTime::ns(10)),
         bus(&top, "ahb", clk),
@@ -254,8 +255,7 @@ struct TxnBench {
         s2(&top, "s2", bus, {.base = 0x1000, .size = 0x1000, .wait_states = 1}),
         s3(&top, "s3", bus, {.base = 0x2000, .size = 0x1000}) {
     bus.finalize();
-    est = std::make_unique<AhbPowerEstimator>(
-        &top, "power", bus, AhbPowerEstimator::Config{.txn_trace = true});
+    est = std::make_unique<AhbPowerEstimator>(&top, "power", bus, cfg);
   }
 
   void run_cycles(unsigned n) {
@@ -322,6 +322,43 @@ TEST(TxnTraceIntegration, ExportsAreDeterministic) {
   const std::string b = render();
   EXPECT_FALSE(a.empty());
   EXPECT_EQ(a, b);  // byte-identical across identically seeded runs
+}
+
+TEST(TxnTraceIntegration, ExportBytesMatchGolden) {
+  // Every exported artifact of a fixed-seed observed run (10-cycle
+  // windows + transaction tracing), in ahbpower_cli --telemetry order.
+  // The digest pins the rendered bytes, so a formatter or span-rendering
+  // change that alters a single character fails here.
+  TxnBench b(AhbPowerEstimator::Config{.telemetry_window_cycles = 10,
+                                       .txn_trace = true});
+  b.run_cycles(1500);
+  b.est->flush_telemetry();
+  const TransactionTracer* t = b.est->txn_tracer();
+  const telemetry::ExportMeta meta;
+  telemetry::ExportMeta txn_meta = meta;
+  for (unsigned m = 0; m < 3; ++m) {
+    txn_meta.threads.emplace_back(telemetry::txn_track_tid(m),
+                                  "m" + std::to_string(m));
+  }
+  std::ostringstream os;
+  telemetry::write_txn_csv(os, t->log());
+  telemetry::write_txn_json(os, t->log(), t->summary(b.est->total_energy()),
+                            meta);
+  telemetry::write_chrome_trace(os, t->spans(), nullptr, txn_meta);
+  telemetry::write_window_csv(os, *b.est->windows(), meta);
+  telemetry::write_window_json(os, *b.est->windows(), meta);
+  telemetry::write_chrome_trace(os, *b.est->trace_events(), b.est->windows(),
+                                meta);
+  const std::string bytes = os.str();
+
+  std::uint64_t h = 14695981039346656037ull;  // FNV-1a, 64-bit
+  for (const char c : bytes) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 1099511628211ull;
+  }
+  // Recorded from the snprintf-loop json_number and eagerly rendered spans.
+  EXPECT_EQ(bytes.size(), 628460u);
+  EXPECT_EQ(h, 0x512d9cfa5ff48ef8ull);
 }
 
 TEST(TxnTraceIntegration, RetriedTransferAppearsAsRework) {

@@ -7,7 +7,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdio>
+#include <cstdlib>
 #include <limits>
+#include <random>
 #include <sstream>
 
 #include "telemetry/metrics.hpp"
@@ -44,6 +49,99 @@ TEST(JsonNumber, ShortestRoundTrip) {
   EXPECT_EQ(json_number(std::numeric_limits<double>::infinity()), "0");
   EXPECT_EQ(json_number(std::numeric_limits<double>::quiet_NaN()), "0");
 }
+
+// The original json_number: try "%.*g" at every precision from 1 up and
+// keep the first that strtod parses back to v. Kept as the reference the
+// <charconv> implementation must match byte for byte.
+std::string reference_json_number(double v) {
+  if (!std::isfinite(v)) return "0";
+  if (v == 0.0) return "0";
+  if (v == std::floor(v) && std::fabs(v) < 9.007199254740992e15) {
+    char buf[32];
+    std::snprintf(buf, sizeof buf, "%.0f", v);
+    return buf;
+  }
+  char buf[40];
+  for (int prec = 1; prec <= 17; ++prec) {
+    std::snprintf(buf, sizeof buf, "%.*g", prec, v);
+    if (std::strtod(buf, nullptr) == v) break;
+  }
+  return buf;
+}
+
+/// 1 (and a reported failure) when json_number(v) differs from the
+/// reference, else 0.
+int mismatch(double v) {
+  const std::string got = json_number(v);
+  const std::string want = reference_json_number(v);
+  if (got == want) return 0;
+  ADD_FAILURE() << "json_number(" << std::hexfloat << v << ") = " << got
+                << ", reference " << want;
+  return 1;
+}
+
+/// Mismatches for v and -v.
+int count_mismatches(double v) { return mismatch(v) + mismatch(-v); }
+
+TEST(JsonNumberProperty, PowersOfTwoAndNeighbours) {
+  int bad = 0;
+  for (int e = -1074; e <= 1023 && bad < 10; ++e) {
+    const double p = std::ldexp(1.0, e);
+    bad += count_mismatches(p);
+    bad += count_mismatches(std::nextafter(p, 0.0));
+    bad += count_mismatches(
+        std::nextafter(p, std::numeric_limits<double>::infinity()));
+  }
+  EXPECT_EQ(bad, 0);
+}
+
+TEST(JsonNumberProperty, IntegralAndEdgeValues) {
+  int bad = 0;
+  constexpr std::int64_t kTwo53 = std::int64_t{1} << 53;
+  for (std::int64_t i = kTwo53 - 4096; i <= kTwo53 + 4096 && bad < 10; ++i) {
+    // Above 2^53 odd i round to a neighbour: those values repeat.
+    bad += count_mismatches(static_cast<double>(i));
+  }
+  for (int i = 0; i < 64 && bad < 10; ++i) {
+    bad += count_mismatches(static_cast<double>(std::uint64_t{1} << i));
+    bad += count_mismatches(std::ldexp(3.0, 50 + i));  // integral, > 2^53
+  }
+  bad += count_mismatches(1e21);
+  bad += count_mismatches(1e15 + 0.5);  // fractional just below 2^53
+  bad += count_mismatches(5e-324);      // smallest subnormal
+  bad += count_mismatches(std::numeric_limits<double>::max());
+  bad += count_mismatches(std::numeric_limits<double>::min());
+  EXPECT_EQ(bad, 0);
+}
+
+TEST(JsonNumberProperty, ExporterTimestamps) {
+  // tick_to_us at the default 10 ns tick: the Chrome trace "ts"/"dur"
+  // and window t_start_us columns.
+  int bad = 0;
+  for (std::uint64_t t = 0; t < 200000 && bad < 10; ++t) {
+    bad += count_mismatches(static_cast<double>(t) * 10.0 * 1e-3);
+  }
+  EXPECT_EQ(bad, 0);
+}
+
+/// Random finite bit patterns (half of them negative), 2^20 in all,
+/// split into shards that ctest runs in parallel.
+class JsonNumberRandomBits : public ::testing::TestWithParam<int> {};
+
+TEST_P(JsonNumberRandomBits, MatchesReference) {
+  constexpr int kShards = 8;
+  constexpr int kPerShard = (1 << 20) / kShards;
+  std::mt19937_64 rng(0x6a736f6e6e756dull + static_cast<unsigned>(GetParam()));
+  int bad = 0;
+  for (int i = 0; i < kPerShard && bad < 10; ++i) {
+    double v = std::bit_cast<double>(rng());
+    while (!std::isfinite(v)) v = std::bit_cast<double>(rng());
+    bad += mismatch(v);
+  }
+  EXPECT_EQ(bad, 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(Shards, JsonNumberRandomBits, ::testing::Range(0, 8));
 
 TEST(JsonEscape, ControlAndQuoteHandling) {
   EXPECT_EQ(json_escape("plain"), "plain");

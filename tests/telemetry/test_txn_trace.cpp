@@ -15,7 +15,7 @@ TxnRecord sample_record() {
   r.id = 7;
   r.master = 1;
   r.slave = 2;
-  r.kind = "INCR4";
+  r.kind = TxnKind::kIncr4;
   r.write = true;
   r.req_tick = 10;
   r.start_tick = 12;
@@ -159,7 +159,7 @@ TEST(TxnSpans, NoArbChildWhenGrantWasImmediate) {
 TEST(TxnSpans, ReadDirectionInSliceName) {
   TxnRecord r = sample_record();
   r.write = false;
-  r.kind = "SINGLE";
+  r.kind = TxnKind::kSingle;
   TraceEventLog spans;
   append_txn_spans(spans, r);
   EXPECT_EQ(spans.events()[0].name, "SINGLE RD");

@@ -45,8 +45,20 @@
 // in_flight == workers[].length, stalled_workers == the stalled
 // entries in workers[].
 //
+// With a third argument,
+//
+//   telemetry_validate <schema-catalogue.json> <txns.json> <txn_trace.json>
+//
+// the transaction stream is also cross-checked against the Chrome trace
+// rendered from it: every record must have exactly one outer span
+// (args.txn == id) named "<kind> WR|RD" on tid master + 2 whose ts/dur
+// cover [req_tick, end_tick), and the trace must hold exactly
+// sum(1 + [start_tick > req_tick] + [end_tick > start_tick]) "X" spans
+// -- the outer span plus its "arb" and "xfer" children.
+//
 // Exit 0 when valid, 1 on a contract violation, 2 on bad usage / I/O.
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -662,11 +674,89 @@ int validate_journal(const char* path, const std::string& data) {
   return 0;
 }
 
+/// Cross-checks a transaction stream (ahbpower.txns.v1) against the
+/// Chrome trace of its spans (see the header comment).
+void check_txn_trace(const Value& txns_doc, const Value& trace,
+                     std::vector<std::string>& errors) {
+  const Value* tick_ns = txns_doc.find("tick_ns");
+  const Value* txns = txns_doc.find("txns");
+  const Value* events = trace.find("traceEvents");
+  if (tick_ns == nullptr || txns == nullptr) return;  // schema already flagged
+  if (events == nullptr || events->kind != Value::Kind::kArray) {
+    errors.push_back("txn trace: no traceEvents array");
+    return;
+  }
+  const auto field = [](const Value& v, const char* key) {
+    const Value* f = v.find(key);
+    return f != nullptr && f->kind == Value::Kind::kNumber ? f->number : -1.0;
+  };
+  const auto us = [&](double ticks) { return ticks * tick_ns->number * 1e-3; };
+  const auto same = [](double a, double b) {
+    return std::abs(a - b) <= 1e-9 * std::max(std::abs(b), 1.0);
+  };
+
+  // Outer spans by transaction id; children are counted.
+  std::map<double, std::vector<const Value*>> outer;
+  std::size_t spans = 0;
+  for (const Value& e : events->array) {
+    const Value* ph = e.find("ph");
+    if (ph == nullptr || ph->string != "X") continue;
+    ++spans;
+    if (const Value* args = e.find("args")) {
+      const double id = field(*args, "txn");
+      if (id >= 0) outer[id].push_back(&e);
+    }
+  }
+
+  std::size_t expected_spans = 0;
+  for (const Value& t : txns->array) {
+    const double id = field(t, "id");
+    const double req = field(t, "req_tick");
+    const double start = field(t, "start_tick");
+    const double end = field(t, "end_tick");
+    expected_spans += 1 + (start > req ? 1 : 0) + (end > start ? 1 : 0);
+    const std::string where = "txn " + std::to_string(static_cast<long long>(id));
+    const auto it = outer.find(id);
+    if (it == outer.end() || it->second.size() != 1) {
+      errors.push_back(where + ": expected one outer span, found " +
+                       std::to_string(it == outer.end() ? 0 : it->second.size()));
+      continue;
+    }
+    const Value& span = *it->second.front();
+    const Value* kind = t.find("kind");
+    const Value* write = t.find("write");
+    const Value* name = span.find("name");
+    if (kind != nullptr && write != nullptr &&
+        (name == nullptr ||
+         name->string != kind->string + (write->boolean ? " WR" : " RD"))) {
+      errors.push_back(where + ": outer span name \"" +
+                       (name != nullptr ? name->string : "") +
+                       "\" does not match kind/direction");
+    }
+    if (field(span, "tid") != field(t, "master") + 2) {
+      errors.push_back(where + ": outer span not on tid master + 2");
+    }
+    const double dur_ticks = end > req ? end - req : 1;
+    if (!same(field(span, "ts"), us(req)) ||
+        !same(field(span, "dur"), us(dur_ticks))) {
+      errors.push_back(where + ": outer span ts/dur do not cover "
+                               "[req_tick, end_tick)");
+    }
+  }
+  if (spans != expected_spans) {
+    errors.push_back("txn trace: " + std::to_string(spans) +
+                     " X spans, but the transaction stream implies " +
+                     std::to_string(expected_spans));
+  }
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc != 3) {
-    std::fprintf(stderr, "usage: %s <schema-catalogue.json> <artifact.json>\n",
+  if (argc != 3 && argc != 4) {
+    std::fprintf(stderr,
+                 "usage: %s <schema-catalogue.json> <artifact.json> "
+                 "[<txn_trace.json>]\n",
                  argv[0]);
     return 2;
   }
@@ -702,6 +792,14 @@ int main(int argc, char** argv) {
     if (id->string == "ahbpower.txns.v1") {
       check_txns_conservation(doc, errors);
     }
+    if (argc == 4) {
+      if (id->string != "ahbpower.txns.v1") {
+        std::fprintf(stderr, "%s: a trace cross-check needs an "
+                             "ahbpower.txns.v1 artifact\n", argv[2]);
+        return 2;
+      }
+      check_txn_trace(doc, Parser(read_file(argv[3])).parse(), errors);
+    }
     if (id->string == "ahbpower.campaign.v2" ||
         id->string == "ahbpower.campaign.v3" ||
         id->string == "ahbpower.campaign.v4") {
@@ -724,7 +822,8 @@ int main(int argc, char** argv) {
       }
       return 1;
     }
-    std::printf("%s: valid (%s)\n", argv[2], id->string.c_str());
+    std::printf("%s: valid (%s%s%s)\n", argv[2], id->string.c_str(),
+                argc == 4 ? ", spans match " : "", argc == 4 ? argv[3] : "");
     return 0;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "%s\n", e.what());
