@@ -4,6 +4,7 @@
 // and reports peak/mean ratio and point counts for the same 4 us run.
 
 #include <cstdio>
+#include <vector>
 
 #include "common.hpp"
 #include "power/report.hpp"
@@ -15,22 +16,24 @@ int main() {
   std::printf("%12s %10s %14s %14s %12s\n", "window", "points", "mean power",
               "peak power", "peak/mean");
 
-  for (const auto window : {sim::SimTime::ns(20), sim::SimTime::ns(50),
-                            sim::SimTime::ns(100), sim::SimTime::ns(500),
-                            sim::SimTime::us(1), sim::SimTime::us(4)}) {
-    bench::PaperSystem sys({.trace_window = window});
+  // 20 ns .. 4 us at the 100 MHz bus clock.
+  for (const std::uint64_t cycles : {2, 5, 10, 50, 100, 400}) {
+    bench::PaperSystem sys({.telemetry_window_cycles = cycles});
     sys.run(sim::SimTime::us(4));
-    sys.est->flush_trace();
-    const power::PowerTrace& tr = *sys.est->trace();
+    sys.est->flush_telemetry();
+    if (!bench::windows_conserve_energy(*sys.est)) return 1;
+    const sim::SimTime period = sys.clk.period();
+    const std::vector<double> power =
+        power::window_power(*sys.est->windows(), "total", period);
     double peak = 0.0, mean = 0.0;
-    for (const auto& p : tr.points()) {
-      const double w = tr.power_total(p);
+    for (const double w : power) {
       peak = std::max(peak, w);
       mean += w;
     }
-    mean /= static_cast<double>(tr.points().size());
+    mean /= static_cast<double>(power.size());
+    const sim::SimTime window = period * static_cast<std::int64_t>(cycles);
     std::printf("%12s %10zu %14s %14s %11.2fx\n", window.to_string().c_str(),
-                tr.points().size(), power::format_power(mean).c_str(),
+                power.size(), power::format_power(mean).c_str(),
                 power::format_power(peak).c_str(), peak / mean);
   }
 

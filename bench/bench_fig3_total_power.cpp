@@ -3,6 +3,7 @@
 // series and writes fig3_total_power.csv with all sub-block series.
 
 #include <cstdio>
+#include <vector>
 #include <fstream>
 
 #include "common.hpp"
@@ -11,29 +12,31 @@
 int main() {
   using namespace ahbp;
 
-  bench::PaperSystem sys(
-      {.trace_window = sim::SimTime::ns(100)});  // 10-cycle windows
+  // 10-cycle (100 ns) windows.
+  bench::PaperSystem sys({.telemetry_window_cycles = 10});
   std::puts("=== Figure 3: total AHB power consumption (first 4 us) ===\n");
 
   sys.run(sim::SimTime::us(4));
-  sys.est->flush_trace();
+  sys.est->flush_telemetry();
 
-  const power::PowerTrace& tr = *sys.est->trace();
-  std::fputs(power::format_trace(tr, "total", sim::SimTime::us(4)).c_str(), stdout);
+  const telemetry::WindowSeries& series = *sys.est->windows();
+  const sim::SimTime period = sys.clk.period();
+  std::fputs(power::format_trace(series, "total", period, sim::SimTime::us(4)).c_str(),
+             stdout);
+  if (!bench::windows_conserve_energy(*sys.est)) return 1;
 
+  const std::vector<double> power = power::window_power(series, "total", period);
   double peak = 0.0, mean = 0.0;
-  for (const auto& p : tr.points()) {
-    const double w = tr.power_total(p);
+  for (const double w : power) {
     peak = std::max(peak, w);
     mean += w;
   }
-  mean /= static_cast<double>(tr.points().size());
-  std::printf("\nwindows: %zu   mean power: %s   peak power: %s\n",
-              tr.points().size(), power::format_power(mean).c_str(),
-              power::format_power(peak).c_str());
+  mean /= static_cast<double>(power.size());
+  std::printf("\nwindows: %zu   mean power: %s   peak power: %s\n", power.size(),
+              power::format_power(mean).c_str(), power::format_power(peak).c_str());
 
   std::ofstream csv("fig3_total_power.csv");
-  power::write_trace_csv(csv, tr);
+  power::write_trace_csv(csv, series, period);
   std::puts("full series written to fig3_total_power.csv");
   return 0;
 }

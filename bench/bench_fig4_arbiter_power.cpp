@@ -10,22 +10,27 @@
 int main() {
   using namespace ahbp;
 
-  bench::PaperSystem sys({.trace_window = sim::SimTime::ns(100)});
+  bench::PaperSystem sys({.telemetry_window_cycles = 10});  // 100 ns windows
   std::puts("=== Figure 4: arbiter power consumption (first 4 us) ===\n");
 
   sys.run(sim::SimTime::us(4));
-  sys.est->flush_trace();
+  sys.est->flush_telemetry();
 
-  const power::PowerTrace& tr = *sys.est->trace();
-  std::fputs(power::format_trace(tr, "arb", sim::SimTime::us(4)).c_str(), stdout);
+  const telemetry::WindowSeries& series = *sys.est->windows();
+  const sim::SimTime period = sys.clk.period();
+  std::fputs(power::format_trace(series, "arb", period, sim::SimTime::us(4)).c_str(),
+             stdout);
+  if (!bench::windows_conserve_energy(*sys.est)) return 1;
 
   double peak_arb = 0.0, peak_m2s = 0.0, sum_arb = 0.0, sum_m2s = 0.0;
-  for (const auto& p : tr.points()) {
-    peak_arb = std::max(peak_arb, tr.power_arb(p));
-    peak_m2s = std::max(peak_m2s, tr.power_m2s(p));
-    sum_arb += p.energy.arb;
-    sum_m2s += p.energy.m2s;
+  for (const double w : power::window_power(series, "arb", period)) {
+    peak_arb = std::max(peak_arb, w);
   }
+  for (const double w : power::window_power(series, "m2s", period)) {
+    peak_m2s = std::max(peak_m2s, w);
+  }
+  for (const double e : power::window_energy(series, "arb")) sum_arb += e;
+  for (const double e : power::window_energy(series, "m2s")) sum_m2s += e;
   std::printf("\npeak arbiter power: %s   peak M2S power: %s\n",
               power::format_power(peak_arb).c_str(),
               power::format_power(peak_m2s).c_str());

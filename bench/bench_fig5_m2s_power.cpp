@@ -10,22 +10,25 @@
 int main() {
   using namespace ahbp;
 
-  bench::PaperSystem sys({.trace_window = sim::SimTime::ns(100)});
+  bench::PaperSystem sys({.telemetry_window_cycles = 10});  // 100 ns windows
   std::puts("=== Figure 5: M2S multiplexer power consumption (first 4 us) ===\n");
 
   sys.run(sim::SimTime::us(4));
-  sys.est->flush_trace();
+  sys.est->flush_telemetry();
 
-  const power::PowerTrace& tr = *sys.est->trace();
-  std::fputs(power::format_trace(tr, "m2s", sim::SimTime::us(4)).c_str(), stdout);
+  const telemetry::WindowSeries& series = *sys.est->windows();
+  const sim::SimTime period = sys.clk.period();
+  std::fputs(power::format_trace(series, "m2s", period, sim::SimTime::us(4)).c_str(),
+             stdout);
+  if (!bench::windows_conserve_energy(*sys.est)) return 1;
 
   double peak = 0.0;
   double e_m2s = 0.0, e_total = 0.0;
-  for (const auto& p : tr.points()) {
-    peak = std::max(peak, tr.power_m2s(p));
-    e_m2s += p.energy.m2s;
-    e_total += p.energy.total();
+  for (const double w : power::window_power(series, "m2s", period)) {
+    peak = std::max(peak, w);
   }
+  for (const double e : power::window_energy(series, "m2s")) e_m2s += e;
+  for (const double e : power::window_energy(series, "total")) e_total += e;
   std::printf("\npeak M2S power: %s   M2S share of total energy: %.2f %%\n",
               power::format_power(peak).c_str(), 100.0 * e_m2s / e_total);
   if (e_m2s < 0.25 * e_total) {

@@ -75,9 +75,11 @@ void BM_PowerLocalStyle(benchmark::State& state) {
 BENCHMARK(BM_PowerLocalStyle)->Unit(benchmark::kMillisecond);
 
 void BM_PowerLocalWithTrace(benchmark::State& state) {
+  // The Figs 3-5 power trace: 10-cycle (100 ns) windows, no metrics.
   for (auto _ : state) {
-    bench::PaperSystem sys({.trace_window = sim::SimTime::ns(100)});
+    bench::PaperSystem sys({.telemetry_window_cycles = 10});
     sys.run(kSimTime);
+    sys.est->flush_telemetry();
     benchmark::DoNotOptimize(sys.est->total_energy());
   }
 }

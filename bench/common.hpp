@@ -4,6 +4,8 @@
 // WRITE-READ non-interruptible sequences and IDLE commands, one simple
 // default master, and three slaves on an AMBA AHB, clocked at 100 MHz.
 
+#include <cmath>
+#include <cstdio>
 #include <memory>
 #include <string>
 #include <utility>
@@ -21,11 +23,11 @@ struct PaperSystem {
   struct Options {
     ahb::ArbitrationPolicy policy = ahb::ArbitrationPolicy::kFixedPriority;
     unsigned wait_states = 0;
-    sim::SimTime trace_window = sim::SimTime::zero();
     bool power_enabled = true;
     std::uint64_t seed1 = 101;
     std::uint64_t seed2 = 202;
-    /// Windowed power sampling granularity (0 = telemetry off).
+    /// Power window in bus cycles for the Figs 3-5 series and the
+    /// telemetry exporters (0 = off).
     std::uint64_t telemetry_window_cycles = 0;
     /// Reconstruct per-transaction spans with attributed energy.
     bool txn_trace = false;
@@ -55,7 +57,6 @@ struct PaperSystem {
       est = std::make_unique<power::AhbPowerEstimator>(
           &top, "power", bus,
           power::AhbPowerEstimator::Config{
-              .trace_window = opt.trace_window,
               .telemetry_window_cycles = opt.telemetry_window_cycles,
               .txn_trace = opt.txn_trace,
               .metrics = opt.metrics});
@@ -74,6 +75,18 @@ struct PaperSystem {
   ahb::MemorySlave s1, s2, s3;
   std::unique_ptr<power::AhbPowerEstimator> est;
 };
+
+/// True when the estimator's window series (flushed) sums to its total
+/// energy within 1e-9 relative; otherwise prints a CHECK FAILED line.
+inline bool windows_conserve_energy(const power::AhbPowerEstimator& est) {
+  double sum = 0.0;
+  for (const double e : power::window_energy(*est.windows(), "total")) sum += e;
+  const double total = est.total_energy();
+  if (std::abs(sum - total) <= 1e-9 * total) return true;
+  std::printf("CONSERVATION CHECK FAILED: windows hold %.17g J, estimator %.17g J\n",
+              sum, total);
+  return false;
+}
 
 /// Campaign spec over the paper testbench: builds a complete
 /// PaperSystem (kernel included) on whatever thread executes the spec,

@@ -129,7 +129,7 @@ int main() {
   ahb::BusMonitor mon(&top, "monitor", bus);
   power::AhbPowerEstimator est(
       &top, "power", bus,
-      power::AhbPowerEstimator::Config{.trace_window = sim::SimTime::ns(200)});
+      power::AhbPowerEstimator::Config{.telemetry_window_cycles = 20});  // 200 ns
 
   // Waveform of the interesting bus signals.
   sim::VcdWriter vcd("portable_player.vcd", kernel);
@@ -141,7 +141,7 @@ int main() {
   vcd.add(bus.bus().hmaster, 4);
 
   kernel.run(sim::SimTime::us(100));
-  est.flush_trace();
+  est.flush_telemetry();
 
   std::printf("=== portable player: 100 us @ 100 MHz ===\n");
   std::printf("audio frames streamed : %llu\n",
@@ -160,7 +160,7 @@ int main() {
   std::fputs(power::format_block_breakdown(est.block_totals()).c_str(), stdout);
 
   std::ofstream csv("portable_player_power.csv");
-  power::write_trace_csv(csv, *est.trace());
+  power::write_trace_csv(csv, *est.windows(), clk.period());
   std::puts("\npower trace written to portable_player_power.csv");
   std::puts("bus waveform written to portable_player.vcd");
 

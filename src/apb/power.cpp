@@ -4,6 +4,17 @@
 
 namespace ahbp::apb {
 
+namespace {
+std::vector<std::string> channel_names(unsigned n_peripherals) {
+  std::vector<std::string> names{"paddr", "pwdata"};
+  for (unsigned s = 0; s < n_peripherals; ++s) {
+    names.push_back("prdata" + std::to_string(s));
+  }
+  names.emplace_back("strobes");
+  return names;
+}
+}  // namespace
+
 ApbPowerModel::ApbPowerModel(unsigned n_peripherals, gate::Technology tech)
     : tech_(tech) {
   if (n_peripherals == 0) {
@@ -31,40 +42,35 @@ ApbPowerMonitor::ApbPowerMonitor(sim::Module* parent, std::string name,
     : Module(parent, std::move(name)),
       bridge_(bridge),
       model_(bridge.n_peripherals() == 0 ? 1 : bridge.n_peripherals(), tech),
+      activity_(channel_names(bridge.n_peripherals())),
+      vals_(activity_.size(), 0),
+      hd_(activity_.size(), 0),
       proc_(this, "sample", [this] { on_cycle(); }) {
   proc_.sensitive(bridge.clock().negedge_event()).dont_initialize();
-  bind_channels();
-}
-
-void ApbPowerMonitor::bind_channels() {
-  ch_paddr_ = &activity_.channel("paddr");
-  ch_pwdata_ = &activity_.channel("pwdata");
-  ch_strobes_ = &activity_.channel("strobes");
-  ch_prdata_.clear();
-  ch_prdata_.reserve(bridge_.n_peripherals());
-  for (unsigned s = 0; s < bridge_.n_peripherals(); ++s) {
-    ch_prdata_.push_back(&activity_.channel("prdata" + std::to_string(s)));
-  }
 }
 
 void ApbPowerMonitor::on_cycle() {
   ++cycles_;
   const ApbMasterSignals& m = bridge_.apb();
-  const unsigned hd_addr = ch_paddr_->store_activity(m.paddr.read());
-  const unsigned hd_wdata = ch_pwdata_->store_activity(m.pwdata.read());
+  const unsigned n = static_cast<unsigned>(activity_.size()) - 3;  // prdata<s>
+  vals_[0] = m.paddr.read();
+  vals_[1] = m.pwdata.read();
   // PRDATA switching, per peripheral driver.
-  unsigned hd_rdata = 0;
-  for (unsigned s = 0; s < bridge_.n_peripherals(); ++s) {
-    hd_rdata += ch_prdata_[s]->store_activity(bridge_.peripheral(s).prdata.read());
+  for (unsigned s = 0; s < n; ++s) {
+    vals_[2 + s] = bridge_.peripheral(s).prdata.read();
   }
   // Strobe bundle: PENABLE, PWRITE and the PSEL lines.
   std::uint64_t strobes = m.penable.read() ? 1u : 0u;
   strobes |= m.pwrite.read() ? 2u : 0u;
-  for (unsigned s = 0; s < bridge_.n_peripherals(); ++s) {
+  for (unsigned s = 0; s < n; ++s) {
     strobes |= (bridge_.psel(s).read() ? 1ull : 0ull) << (2 + s);
   }
-  const unsigned hd_strobes = ch_strobes_->store_activity(strobes);
-  energy_ += model_.energy(hd_addr + hd_wdata + hd_rdata, hd_strobes);
+  vals_[2 + n] = strobes;
+  activity_.store_all(vals_.data(), hd_.data());
+
+  unsigned hd_data = 0;
+  for (unsigned i = 0; i < 2 + n; ++i) hd_data += hd_[i];
+  energy_ += model_.energy(hd_data, hd_[2 + n]);
 }
 
 }  // namespace ahbp::apb

@@ -56,18 +56,14 @@ public:
 
 private:
   void on_cycle();
-  void bind_channels();
 
   AhbToApbBridge& bridge_;
   ApbPowerModel model_;
+  /// Channels paddr, pwdata, prdata<s> per peripheral, strobes -- in
+  /// that order, observed with one store_all() per cycle.
   power::Activity activity_;
-  /// Hot-path cache: channel handles resolved once at construction
-  /// (pointer-stable in Activity's unordered_map), so on_cycle() never
-  /// builds a channel-name string. Mirrors PowerFsm::bind_channels().
-  power::ActivityChannel* ch_paddr_ = nullptr;
-  power::ActivityChannel* ch_pwdata_ = nullptr;
-  power::ActivityChannel* ch_strobes_ = nullptr;
-  std::vector<power::ActivityChannel*> ch_prdata_;
+  std::vector<std::uint64_t> vals_;  ///< per-cycle sample, one per channel
+  std::vector<unsigned> hd_;         ///< per-cycle Hamming distances
   double energy_ = 0.0;
   std::uint64_t cycles_ = 0;
   sim::Method proc_;

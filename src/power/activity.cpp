@@ -2,68 +2,21 @@
 
 #include <algorithm>
 
+#include "sim/report.hpp"
+
 namespace ahbp::power {
 
-unsigned ActivityChannel::store_activity(std::uint64_t value) {
-  if (has_value_) {
-    last_hd_ = hamming(last_value_, value);
-  } else {
-    last_hd_ = 0;
-    has_value_ = true;
-  }
-  bit_changes_ += last_hd_;
-  if (last_hd_ != 0) ++nonzero_;
-  last_value_ = value;
-  ++samples_;
-  return last_hd_;
-}
-
-double ActivityChannel::mean_hd() const {
-  if (samples_ < 2) return 0.0;
-  return static_cast<double>(bit_changes_) / static_cast<double>(samples_ - 1);
-}
-
-void ActivityChannel::restore(std::uint64_t last_value, unsigned last_hd,
-                              std::uint64_t bit_changes, std::uint64_t nonzero,
-                              std::uint64_t samples) {
-  last_value_ = last_value;
-  has_value_ = samples > 0;
-  last_hd_ = last_hd;
-  bit_changes_ = bit_changes;
-  nonzero_ = nonzero;
-  samples_ = samples;
-}
-
-void ActivityChannel::reset() { *this = ActivityChannel{}; }
-
-ActivityChannel& Activity::channel(const std::string& name) { return channels_[name]; }
-
-const ActivityChannel* Activity::find(const std::string& name) const {
-  const auto it = channels_.find(name);
-  return it == channels_.end() ? nullptr : &it->second;
-}
-
-std::uint64_t Activity::bit_change_count() const {
-  std::uint64_t total = 0;
-  for (const auto& kv : channels_) total += kv.second.bit_change_count();
-  return total;
-}
-
-void Activity::reset() { channels_.clear(); }
-
-PackedActivity::PackedActivity(std::vector<std::string> names)
+Activity::Activity(std::vector<std::string> names)
     : names_(std::move(names)),
       last_value_(names_.size(), 0),
       bit_changes_(names_.size(), 0),
-      nonzero_(names_.size(), 0),
-      last_hd_(names_.size(), 0) {}
+      nonzero_(names_.size(), 0) {}
 
-void PackedActivity::store_all(const std::uint64_t* vals, unsigned* hd_out) {
+void Activity::store_all(const std::uint64_t* vals, unsigned* hd_out) {
   const std::size_t n = names_.size();
-  if (has_value_) {
+  if (samples_ > 0) {
     for (std::size_t i = 0; i < n; ++i) {
       const unsigned hd = hamming(last_value_[i], vals[i]);
-      last_hd_[i] = hd;
       hd_out[i] = hd;
       bit_changes_[i] += hd;
       nonzero_[i] += hd != 0 ? 1 : 0;
@@ -71,35 +24,42 @@ void PackedActivity::store_all(const std::uint64_t* vals, unsigned* hd_out) {
     }
   } else {
     for (std::size_t i = 0; i < n; ++i) {
-      last_hd_[i] = 0;
       hd_out[i] = 0;
       last_value_[i] = vals[i];
     }
-    has_value_ = true;
   }
   ++samples_;
 }
 
-std::uint64_t PackedActivity::bit_change_count() const {
+void Activity::store_repeated(std::uint64_t n) {
+  if (n > 0 && samples_ == 0) {
+    throw sim::SimError("Activity::store_repeated: no previous observation");
+  }
+  samples_ += n;
+}
+
+std::optional<std::size_t> Activity::find(std::string_view name) const {
+  const auto it = std::find(names_.begin(), names_.end(), name);
+  if (it == names_.end()) return std::nullopt;
+  return static_cast<std::size_t>(it - names_.begin());
+}
+
+std::uint64_t Activity::bit_change_count() const {
   std::uint64_t total = 0;
   for (std::uint64_t c : bit_changes_) total += c;
   return total;
 }
 
-void PackedActivity::export_to(Activity& out) const {
-  for (std::size_t i = 0; i < names_.size(); ++i) {
-    out.channel(names_[i]).restore(last_value_[i], last_hd_[i], bit_changes_[i],
-                                   nonzero_[i], samples_);
-  }
+double Activity::mean_hd(std::size_t i) const {
+  if (samples_ < 2) return 0.0;
+  return static_cast<double>(bit_changes_[i]) / static_cast<double>(samples_ - 1);
 }
 
-void PackedActivity::reset() {
+void Activity::reset() {
   std::fill(last_value_.begin(), last_value_.end(), 0);
   std::fill(bit_changes_.begin(), bit_changes_.end(), 0);
   std::fill(nonzero_.begin(), nonzero_.end(), 0);
-  std::fill(last_hd_.begin(), last_hd_.end(), 0);
   samples_ = 0;
-  has_value_ = false;
 }
 
 }  // namespace ahbp::power

@@ -3,15 +3,18 @@
 //
 // The instrumentation phase of the methodology (Sec. 5.3) adds "a
 // specialized object class ... for the dynamic monitoring and the storage
-// of the activity of the I/O signals of the different blocks", with
-// methods bit_change_count() and store_activity(). ActivityChannel is
-// that class for one signal; Activity groups named channels (the paper's
-// "Masters signals activity storage / Slaves signals activity storage").
+// of the activity of the I/O signals of the different blocks", with a
+// bit-change counter and an activity-storing method. Activity is that
+// class for a fixed set of named signals (the paper's "Masters signals
+// activity storage / Slaves signals activity storage"): store_all()
+// stores every signal's activity once per cycle, and bit_change_count()
+// is the paper's counter.
 
 #include <bit>
 #include <cstdint>
+#include <optional>
 #include <string>
-#include <unordered_map>
+#include <string_view>
 #include <vector>
 
 namespace ahbp::power {
@@ -24,126 +27,57 @@ namespace ahbp::power {
   return static_cast<unsigned>(std::popcount(a ^ b));
 }
 
-/// Switching-activity accumulator for one observed signal.
+/// Switching-activity accumulator for a fixed set of channels, one per
+/// monitored signal.
 ///
-/// Feed it the signal's value once per observation point (bus event /
-/// clock cycle); it tracks the Hamming distance of consecutive values.
-class ActivityChannel {
-public:
-  /// Records `value` as the next observation. Returns the Hamming
-  /// distance to the previous observation (0 for the first).
-  unsigned store_activity(std::uint64_t value);
-
-  /// Total bits changed across all observations.
-  [[nodiscard]] std::uint64_t bit_change_count() const { return bit_changes_; }
-  /// Number of observations whose Hamming distance was non-zero (the
-  /// empirical "signal changed" probability numerator, used by the
-  /// analytic estimator for non-linear macromodel terms).
-  [[nodiscard]] std::uint64_t nonzero_count() const { return nonzero_; }
-  /// Hamming distance recorded by the most recent store_activity().
-  [[nodiscard]] unsigned last_hd() const { return last_hd_; }
-  /// Number of observations so far.
-  [[nodiscard]] std::uint64_t sample_count() const { return samples_; }
-  /// Mean Hamming distance per observation (0 if fewer than 2 samples).
-  [[nodiscard]] double mean_hd() const;
-  /// Previous observed value.
-  [[nodiscard]] std::uint64_t last_value() const { return last_value_; }
-
-  /// Overwrites the accumulated state wholesale. Used by
-  /// PackedActivity::export_to() to materialize a map-of-channels view
-  /// from the SoA hot-path storage; not meant for instrumentation code.
-  void restore(std::uint64_t last_value, unsigned last_hd,
-               std::uint64_t bit_changes, std::uint64_t nonzero,
-               std::uint64_t samples);
-
-  void reset();
-
-private:
-  std::uint64_t last_value_ = 0;
-  bool has_value_ = false;
-  unsigned last_hd_ = 0;
-  std::uint64_t bit_changes_ = 0;
-  std::uint64_t nonzero_ = 0;
-  std::uint64_t samples_ = 0;
-};
-
-/// A named group of activity channels -- one per monitored bus signal.
-///
-/// Storage is an unordered_map for O(1) find(); per the standard,
-/// unordered_map references and pointers stay valid across inserts
-/// (only erase/clear invalidate), so monitors may cache the
-/// ActivityChannel* returned by channel() at construction time and hit
-/// it every sampled cycle without a string lookup -- the pattern
-/// PowerFsm::bind_channels() and ApbPowerMonitor use. Iteration order
-/// is unspecified; report formatters sort names before rendering.
+/// Storage is structure-of-arrays: the previous values and all counters
+/// live in contiguous arrays, so the per-cycle capture is one tight loop
+/// of XOR + popcount over packed signal words. The channel set is fixed
+/// at construction; store_all() observes every channel exactly once per
+/// cycle, so all channels share one sample count. This is the storage
+/// PowerFsm and ApbPowerMonitor accumulate into and the one reports and
+/// the analytic estimator read.
 class Activity {
 public:
-  /// Channel accessor; creates the channel on first use. The returned
-  /// reference is stable for the channel's lifetime (until reset()).
-  [[nodiscard]] ActivityChannel& channel(const std::string& name);
-  [[nodiscard]] const ActivityChannel* find(const std::string& name) const;
-
-  /// Sum of bit_change_count() over all channels.
-  [[nodiscard]] std::uint64_t bit_change_count() const;
-
-  [[nodiscard]] const std::unordered_map<std::string, ActivityChannel>& channels()
-      const {
-    return channels_;
-  }
-
-  /// Drops every channel. Invalidates all cached ActivityChannel
-  /// pointers -- callers holding handles must re-bind afterwards.
-  void reset();
-
-private:
-  std::unordered_map<std::string, ActivityChannel> channels_;
-};
-
-/// Structure-of-arrays activity capture for a fixed channel set -- the
-/// cycle-kernel hot path behind PowerFsm (and, through it, the energy
-/// attribution pipeline).
-///
-/// Where Activity scatters each channel's state across unordered_map
-/// nodes, PackedActivity keeps the previous values and all counters in
-/// contiguous arrays, so the per-cycle capture is one tight loop of
-/// XOR + popcount over packed signal words -- no pointer chasing, no
-/// per-channel Kernighan loops. The channel set is fixed at
-/// construction; store_all() observes every channel exactly once per
-/// cycle, which is precisely the sampling discipline PowerFsm::step()
-/// follows.
-///
-/// For reporting, export_to() materializes a plain Activity with
-/// identical per-channel statistics, so the map-based view (reports,
-/// analytic estimator) is unchanged.
-class PackedActivity {
-public:
-  explicit PackedActivity(std::vector<std::string> names);
+  explicit Activity(std::vector<std::string> names);
 
   /// Observes one value per channel (vals[i] -> channel i) and writes
-  /// each channel's Hamming distance to hd_out[i]. First observation
-  /// yields 0 for every channel, like ActivityChannel.
+  /// each channel's Hamming distance to hd_out[i]. The first
+  /// observation yields 0 for every channel.
   void store_all(const std::uint64_t* vals, unsigned* hd_out);
+
+  /// Records `n` further observations equal to the previous one (zero
+  /// Hamming distance on every channel) in O(1). Requires a previous
+  /// observation when n > 0.
+  void store_repeated(std::uint64_t n);
 
   [[nodiscard]] std::size_t size() const { return names_.size(); }
   [[nodiscard]] const std::string& name(std::size_t i) const { return names_[i]; }
+  /// Index of the channel called `name`; nullopt if there is none.
+  [[nodiscard]] std::optional<std::size_t> find(std::string_view name) const;
+
+  /// Total bits changed on channel i across all observations.
   [[nodiscard]] std::uint64_t bit_change_count(std::size_t i) const {
     return bit_changes_[i];
   }
-  /// Sum over all channels.
+  /// Sum of bit_change_count(i) over all channels.
   [[nodiscard]] std::uint64_t bit_change_count() const;
+  /// Observations of channel i whose Hamming distance was non-zero (the
+  /// empirical "signal changed" probability numerator, used by the
+  /// analytic estimator for non-linear macromodel terms).
   [[nodiscard]] std::uint64_t nonzero_count(std::size_t i) const {
     return nonzero_[i];
   }
+  /// Observations so far (the same for every channel).
   [[nodiscard]] std::uint64_t sample_count() const { return samples_; }
+  /// Mean Hamming distance per transition of channel i (0 if fewer than
+  /// 2 samples).
+  [[nodiscard]] double mean_hd(std::size_t i) const;
   [[nodiscard]] std::uint64_t last_value(std::size_t i) const {
     return last_value_[i];
   }
-  [[nodiscard]] unsigned last_hd(std::size_t i) const { return last_hd_[i]; }
 
-  /// Copies every channel's statistics into `out` (channels created on
-  /// demand; existing unrelated channels are left alone).
-  void export_to(Activity& out) const;
-
+  /// Zeroes every counter; the channel set is kept.
   void reset();
 
 private:
@@ -151,9 +85,7 @@ private:
   std::vector<std::uint64_t> last_value_;
   std::vector<std::uint64_t> bit_changes_;
   std::vector<std::uint64_t> nonzero_;
-  std::vector<unsigned> last_hd_;
-  std::uint64_t samples_ = 0;  ///< observations per channel (lock-stepped)
-  bool has_value_ = false;
+  std::uint64_t samples_ = 0;
 };
 
 }  // namespace ahbp::power

@@ -48,14 +48,14 @@ double AnalyticPowerModel::energy_per_cycle(const WorkloadStats& s) const {
 
 namespace {
 double mean_of(const Activity& a, const char* name, std::uint64_t cycles) {
-  const ActivityChannel* ch = a.find(name);
-  if (ch == nullptr || cycles == 0) return 0.0;
-  return static_cast<double>(ch->bit_change_count()) / static_cast<double>(cycles);
+  const auto ch = a.find(name);
+  if (!ch || cycles == 0) return 0.0;
+  return static_cast<double>(a.bit_change_count(*ch)) / static_cast<double>(cycles);
 }
 double p_nonzero(const Activity& a, const char* name, std::uint64_t cycles) {
-  const ActivityChannel* ch = a.find(name);
-  if (ch == nullptr || cycles == 0) return 0.0;
-  return static_cast<double>(ch->nonzero_count()) / static_cast<double>(cycles);
+  const auto ch = a.find(name);
+  if (!ch || cycles == 0) return 0.0;
+  return static_cast<double>(a.nonzero_count(*ch)) / static_cast<double>(cycles);
 }
 }  // namespace
 

@@ -25,9 +25,6 @@ AhbPowerEstimator::AhbPowerEstimator(sim::Module* parent, std::string name,
   if (!bus.finalized()) {
     throw SimError("AhbPowerEstimator: bus must be finalized first");
   }
-  if (cfg_.trace_window > sim::SimTime::zero()) {
-    trace_ = std::make_unique<PowerTrace>(cfg_.trace_window);
-  }
   if (cfg_.telemetry_window_cycles > 0) {
     windows_ = std::make_unique<telemetry::WindowSeries>(
         telemetry::WindowSeries::Config{
@@ -82,7 +79,6 @@ void AhbPowerEstimator::on_cycle() {
   const CycleView v = sample_view();
   const PowerFsm::StepResult r = fsm_.step(v);
   if (txn_) txn_->on_cycle(v, r.blocks);
-  if (trace_) trace_->record(kernel().now(), r.blocks);
   if (windows_) {
     const std::uint64_t cycle = fsm_.cycles() - 1;
     windows_->record(cycle, {r.blocks.arb, r.blocks.dec, r.blocks.m2s,
@@ -104,12 +100,7 @@ void AhbPowerEstimator::on_cycle() {
   }
 }
 
-void AhbPowerEstimator::flush_trace() {
-  if (trace_) trace_->flush();
-}
-
 void AhbPowerEstimator::flush_telemetry() {
-  flush_trace();
   if (windows_) {
     if (run_open_) {
       events_->add_complete(to_string(run_mode_), "bus", run_start_,

@@ -23,7 +23,6 @@
 #include "ahb/bus.hpp"
 #include "power/attribution.hpp"
 #include "power/power_fsm.hpp"
-#include "power/trace.hpp"
 #include "sim/module.hpp"
 #include "sim/process.hpp"
 #include "telemetry/exporters.hpp"
@@ -39,8 +38,6 @@ public:
     gate::Technology tech = gate::Technology::default_2003();
     /// Runtime bypass: when false, sampling returns immediately.
     bool enabled = true;
-    /// Window for the legacy time-based power trace; zero disables it.
-    sim::SimTime trace_window = sim::SimTime::zero();
     /// Window (in sampled bus cycles) for the telemetry series and the
     /// bus-instruction trace events; zero disables both.
     std::uint64_t telemetry_window_cycles = 0;
@@ -64,10 +61,10 @@ public:
   [[nodiscard]] const PowerFsm& fsm() const { return fsm_; }
   [[nodiscard]] double total_energy() const { return fsm_.total_energy(); }
   [[nodiscard]] const BlockEnergy& block_totals() const { return fsm_.block_totals(); }
-  /// Nullptr when the legacy time-based trace is disabled.
-  [[nodiscard]] const PowerTrace* trace() const { return trace_.get(); }
-  /// Cycle-windowed per-block energy series (tracks arb/dec/m2s/s2m);
-  /// nullptr when telemetry_window_cycles is zero.
+  /// Cycle-windowed per-block energy series (tracks arb/dec/m2s/s2m) --
+  /// the power-vs-time trace of Figs 3-5 (power::format_trace,
+  /// power::write_trace_csv); nullptr when telemetry_window_cycles is
+  /// zero.
   [[nodiscard]] const telemetry::WindowSeries* windows() const {
     return windows_.get();
   }
@@ -82,12 +79,9 @@ public:
   }
   /// Mutable access (runtime set_enabled for overhead experiments).
   [[nodiscard]] TransactionTracer* txn_tracer() { return txn_.get(); }
-  /// Closes the trace's current window (call after the run, before
-  /// reading the points).
-  void flush_trace();
   /// Closes the telemetry window and open mode run, and publishes the
-  /// FSM totals into the metrics registry (once per run). Also flushes
-  /// the legacy trace.
+  /// FSM totals into the metrics registry (once per run). Call after
+  /// the run, before reading windows() or the trace events.
   void flush_telemetry();
   ///@}
 
@@ -108,7 +102,6 @@ private:
   ahb::AhbBus& bus_;
   Config cfg_;
   PowerFsm fsm_;
-  std::unique_ptr<PowerTrace> trace_;
   std::unique_ptr<telemetry::WindowSeries> windows_;
   std::unique_ptr<telemetry::TraceEventLog> events_;
   std::unique_ptr<TransactionTracer> txn_;

@@ -2,21 +2,20 @@
 // Umbrella header for ahbp::power -- the paper's system-level power
 // analysis methodology.
 //
-//   Activity, ActivityChannel      -- switching-activity instrumentation
+//   Activity                       -- switching-activity instrumentation
 //   DecoderModel, MuxModel,
 //   ArbiterFsmModel, LinearModel   -- sub-block energy macromodels
 //   PowerFsm                       -- instruction-level power FSM
 //   AhbPowerEstimator              -- "local" integration style (main API)
 //   PrivatePowerModel              -- "private" per-block style
 //   GlobalPowerAnalyzer + probe    -- "global" analyzer-module style
-//   PowerTrace                     -- power-vs-time windows (Figs 3-5)
 //   TransactionTracer,
 //   EnergyAttributor               -- per-transaction energy attribution
-//   report.hpp                     -- Table 1 / Fig 6 rendering
+//   report.hpp                     -- Table 1 / Figs 3-6 rendering
 //
-// Streaming observability (cycle-windowed series, trace events, metric
-// counters) lives in ahbp::telemetry and hooks in through
-// AhbPowerEstimator::Config -- see docs/OBSERVABILITY.md.
+// Streaming observability lives in ahbp::telemetry and hooks in through
+// AhbPowerEstimator::Config: the cycle-windowed series behind Figs 3-5,
+// trace events and metric counters -- see docs/OBSERVABILITY.md.
 
 #include "power/activity.hpp"
 #include "power/analytic.hpp"
@@ -29,4 +28,3 @@
 #include "power/report.hpp"
 #include "power/styles.hpp"
 #include "power/system.hpp"
-#include "power/trace.hpp"

@@ -47,13 +47,12 @@ PowerFsm::PowerFsm(Config cfg)
       s2m_model_(cfg.data_width + 3, cfg.n_slaves, cfg.tech,
                  cfg.s2m_coefficients),
       arb_model_(cfg.n_masters, cfg.tech),
-      packed_(kChannelNames) {
+      activity_(kChannelNames) {
   master_energy_.assign(cfg.n_masters, 0.0);
 }
 
 void PowerFsm::reset() {
-  packed_.reset();
-  activity_view_.reset();
+  activity_.reset();
   mode_ = BusMode::kIdle;
   first_cycle_ = true;
   prev_ = CycleView{};
@@ -138,9 +137,7 @@ void PowerFsm::step_repeated(const CycleView& v, std::uint64_t n) {
   if (v.hmaster < master_energy_.size()) {
     master_energy_[v.hmaster] += extra.total();
   }
-  // Note: the Activity channels record only the two explicit samples; the
-  // skipped repetitions carry zero bit changes, so bit_change_count()
-  // stays exact (only the per-channel sample counters are condensed).
+  activity_.store_repeated(rest);
 }
 
 PowerFsm::StepResult PowerFsm::step(const CycleView& v) {
@@ -165,7 +162,7 @@ PowerFsm::StepResult PowerFsm::step(const CycleView& v) {
   vals[kChHgrant] = v.grant_vector;
   vals[kChDataSlave] = v.data_slave;
   vals[kChHmaster] = v.hmaster;
-  packed_.store_all(vals, hd);
+  activity_.store_all(vals, hd);
 
   const unsigned hd_addr = hd[kChHaddr];
   const unsigned hd_ctl = hd[kChHcontrol];

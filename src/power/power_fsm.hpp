@@ -121,8 +121,9 @@ public:
 
   /// Accounts `n` consecutive cycles with the *same* view. After the
   /// first repetition all Hamming distances are zero, so the remaining
-  /// cycles cost a constant steady-state energy -- this computes them in
-  /// O(1) instead of O(n). Used by the transaction-level fast model.
+  /// cycles cost a constant steady-state energy and add zero-HD activity
+  /// samples -- this accounts them in O(1) instead of O(n). Used by the
+  /// transaction-level fast model.
   void step_repeated(const CycleView& v, std::uint64_t n);
 
   /// @name Results
@@ -140,14 +141,9 @@ public:
   }
   [[nodiscard]] BusMode mode() const { return mode_; }
   /// The instrumentation-side activity storage (paper's Activity
-  /// object). The hot path accumulates into an SoA PackedActivity; this
-  /// accessor materializes the map-of-channels view on demand, with
-  /// per-channel statistics identical to the former per-channel
-  /// storage.
-  [[nodiscard]] const Activity& activity() const {
-    packed_.export_to(activity_view_);
-    return activity_view_;
-  }
+  /// object): the nine monitored bus channels the hot path accumulates
+  /// into.
+  [[nodiscard]] const Activity& activity() const { return activity_; }
   ///@}
 
   [[nodiscard]] const Config& config() const { return cfg_; }
@@ -173,9 +169,8 @@ private:
   MuxModel s2m_model_;
   ArbiterFsmModel arb_model_;
 
-  /// Monitored-signal indices into the packed SoA capture. Order is the
-  /// store order of the former per-channel code; the names live in
-  /// kChannelNames (power_fsm.cpp).
+  /// Monitored-signal indices into the activity store; the names live
+  /// in kChannelNames (power_fsm.cpp).
   enum Channel : std::size_t {
     kChHaddr = 0,
     kChHcontrol,
@@ -188,11 +183,9 @@ private:
     kChHmaster,
     kNumChannels,
   };
-  /// Hot-path activity storage: all nine channels observed with one
-  /// packed XOR+popcount pass per cycle (SoA; no pointer chasing).
-  PackedActivity packed_;
-  /// Lazily materialized map view handed out by activity().
-  mutable Activity activity_view_;
+  /// All nine channels, observed with one packed XOR+popcount pass per
+  /// cycle.
+  Activity activity_;
 
   BusMode mode_ = BusMode::kIdle;
   bool first_cycle_ = true;

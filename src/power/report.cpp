@@ -3,12 +3,20 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <numeric>
 #include <ostream>
 #include <sstream>
+
+#include "sim/report.hpp"
 
 namespace ahbp::power {
 
 namespace {
+
+/// Simulated time after `ticks` ticks of `period`.
+sim::SimTime tick_time(std::uint64_t ticks, sim::SimTime period) {
+  return period * static_cast<std::int64_t>(ticks);
+}
 
 std::string fixed(double v, int prec) {
   char buf[64];
@@ -145,13 +153,51 @@ std::string format_master_attribution(const PowerFsm& fsm,
   return os.str();
 }
 
-void write_trace_csv(std::ostream& os, const PowerTrace& trace) {
+std::vector<double> window_energy(const telemetry::WindowSeries& series,
+                                  const std::string& block) {
+  const std::vector<std::string>& tracks = series.tracks();
+  const auto track = std::find(tracks.begin(), tracks.end(), block);
+  if (block != "total" && track == tracks.end()) {
+    throw sim::SimError("unknown power-trace block '" + block + "'");
+  }
+  std::vector<double> out;
+  out.reserve(series.windows().size());
+  for (const auto& w : series.windows()) {
+    if (track != tracks.end()) {
+      out.push_back(w.values[static_cast<std::size_t>(track - tracks.begin())]);
+    } else {
+      double total = 0.0;
+      for (const double v : w.values) total += v;
+      out.push_back(total);
+    }
+  }
+  return out;
+}
+
+std::vector<double> window_power(const telemetry::WindowSeries& series,
+                                 const std::string& block, sim::SimTime period) {
+  if (period <= sim::SimTime::zero()) {
+    throw sim::SimError("window_power: the tick period must be positive");
+  }
+  std::vector<double> power = window_energy(series, block);
+  for (std::size_t i = 0; i < power.size(); ++i) {
+    power[i] /= tick_time(series.windows()[i].ticks, period).to_seconds();
+  }
+  return power;
+}
+
+void write_trace_csv(std::ostream& os, const telemetry::WindowSeries& series,
+                     sim::SimTime period) {
+  const std::vector<double> columns[] = {
+      window_power(series, "total", period), window_power(series, "arb", period),
+      window_power(series, "dec", period), window_power(series, "m2s", period),
+      window_power(series, "s2m", period)};
   os << "time_us,p_total_mw,p_arb_mw,p_dec_mw,p_m2s_mw,p_s2m_mw\n";
-  for (const auto& p : trace.points()) {
-    os << static_cast<double>(p.start.picoseconds()) * 1e-6 << ','
-       << trace.power_total(p) * 1e3 << ',' << trace.power_arb(p) * 1e3 << ','
-       << trace.power_dec(p) * 1e3 << ',' << trace.power_m2s(p) * 1e3 << ','
-       << trace.power_s2m(p) * 1e3 << '\n';
+  for (std::size_t i = 0; i < series.windows().size(); ++i) {
+    const sim::SimTime start = tick_time(series.windows()[i].start_tick, period);
+    os << static_cast<double>(start.picoseconds()) * 1e-6;
+    for (const std::vector<double>& p : columns) os << ',' << p[i] * 1e3;
+    os << '\n';
   }
 }
 
@@ -167,52 +213,42 @@ std::string format_activity_report(const Activity& activity) {
   std::ostringstream os;
   os << "Signal switching activity (instrumentation summary):\n";
   os << "  channel        samples     bit changes   mean HD   P(change)\n";
-  // Activity stores channels unordered; sort names so the report is
-  // deterministic across runs and platforms.
-  std::vector<const std::string*> names;
-  names.reserve(activity.channels().size());
-  for (const auto& kv : activity.channels()) names.push_back(&kv.first);
-  std::sort(names.begin(), names.end(),
-            [](const std::string* a, const std::string* b) { return *a < *b; });
-  for (const std::string* name : names) {
-    const ActivityChannel& ch = *activity.find(*name);
+  // Channels are listed by name, not store order, so the report reads
+  // the same whichever monitor filled it.
+  std::vector<std::size_t> order(activity.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+    return activity.name(a) < activity.name(b);
+  });
+  const std::uint64_t samples = activity.sample_count();
+  for (const std::size_t i : order) {
     const double p_change =
-        ch.sample_count() > 1
-            ? static_cast<double>(ch.nonzero_count()) /
-                  static_cast<double>(ch.sample_count() - 1)
-            : 0.0;
+        samples > 1 ? static_cast<double>(activity.nonzero_count(i)) /
+                          static_cast<double>(samples - 1)
+                    : 0.0;
     char line[128];
     std::snprintf(line, sizeof line, "  %-12s %9llu %15llu %9.3f %10.3f\n",
-                  name->c_str(),
-                  static_cast<unsigned long long>(ch.sample_count()),
-                  static_cast<unsigned long long>(ch.bit_change_count()),
-                  ch.mean_hd(), p_change);
+                  activity.name(i).c_str(),
+                  static_cast<unsigned long long>(samples),
+                  static_cast<unsigned long long>(activity.bit_change_count(i)),
+                  activity.mean_hd(i), p_change);
     os << line;
   }
   return os.str();
 }
 
-std::string format_trace(const PowerTrace& trace, const std::string& block,
+std::string format_trace(const telemetry::WindowSeries& series,
+                         const std::string& block, sim::SimTime period,
                          sim::SimTime until) {
+  const std::vector<double> power = window_power(series, block, period);
   std::ostringstream os;
   os << "time         P_" << block << '\n';
-  for (const auto& p : trace.points()) {
-    if (until > sim::SimTime::zero() && p.start >= until) break;
-    double w = 0.0;
-    if (block == "total") {
-      w = trace.power_total(p);
-    } else if (block == "arb") {
-      w = trace.power_arb(p);
-    } else if (block == "dec") {
-      w = trace.power_dec(p);
-    } else if (block == "m2s") {
-      w = trace.power_m2s(p);
-    } else if (block == "s2m") {
-      w = trace.power_s2m(p);
-    }
+  for (std::size_t i = 0; i < power.size(); ++i) {
+    const sim::SimTime start = tick_time(series.windows()[i].start_tick, period);
+    if (until > sim::SimTime::zero() && start >= until) break;
     char line[96];
-    std::snprintf(line, sizeof line, "%-12s %s\n", p.start.to_string().c_str(),
-                  format_power(w).c_str());
+    std::snprintf(line, sizeof line, "%-12s %s\n", start.to_string().c_str(),
+                  format_power(power[i]).c_str());
     os << line;
   }
   return os.str();

@@ -1,6 +1,6 @@
 #pragma once
 // Result rendering: the paper's Table 1 (per-instruction energy), the
-// Fig. 6 sub-block breakdown, power traces as CSV/series, and the
+// Fig. 6 sub-block breakdown, windowed power traces as CSV/series, and the
 // data-path-vs-arbitration energy split the paper's conclusion rests on.
 
 #include <iosfwd>
@@ -8,7 +8,8 @@
 #include <vector>
 
 #include "power/power_fsm.hpp"
-#include "power/trace.hpp"
+#include "sim/time.hpp"
+#include "telemetry/window.hpp"
 
 namespace ahbp::power {
 
@@ -46,9 +47,25 @@ struct InstructionRow {
 [[nodiscard]] std::string format_master_attribution(
     const PowerFsm& fsm, const std::vector<std::string>& names = {});
 
-/// Writes a power trace as CSV: time_us, p_total_mw, p_arb_mw, p_dec_mw,
-/// p_m2s_mw, p_s2m_mw.
-void write_trace_csv(std::ostream& os, const PowerTrace& trace);
+/// One block's energy per window of `series` [J]. `block` is "total"
+/// (the sum of all tracks) or a track name; any other name throws
+/// sim::SimError.
+[[nodiscard]] std::vector<double> window_energy(
+    const telemetry::WindowSeries& series, const std::string& block);
+
+/// One block's average power per window [W]: its energy divided by the
+/// window's duration, w.ticks x `period` (one tick per bus cycle of
+/// `period`; the flushed final window may cover fewer ticks). Same rule
+/// as the p_total_w column of telemetry::write_window_csv.
+[[nodiscard]] std::vector<double> window_power(
+    const telemetry::WindowSeries& series, const std::string& block,
+    sim::SimTime period);
+
+/// Writes the estimator's window series (tracks arb/dec/m2s/s2m, ticked
+/// in bus cycles of `period`) as a power trace CSV: time_us, p_total_mw,
+/// p_arb_mw, p_dec_mw, p_m2s_mw, p_s2m_mw.
+void write_trace_csv(std::ostream& os, const telemetry::WindowSeries& series,
+                     sim::SimTime period);
 
 /// Writes the instruction table as CSV: instruction, count, avg_pj,
 /// total_pj, percent.
@@ -60,10 +77,12 @@ void write_instruction_csv(std::ostream& os, const PowerFsm& fsm);
 [[nodiscard]] std::string format_activity_report(const Activity& activity);
 
 /// Renders one block's power series as a compact fixed-width listing
-/// (used by the figure benches). `block` selects "total", "arb", "dec",
-/// "m2s" or "s2m"; `until` truncates the series (zero = everything).
-[[nodiscard]] std::string format_trace(const PowerTrace& trace,
+/// (used by the figure benches). `block` selects "total" or a track of
+/// `series` (window_energy() rules); `period` is the simulated time per
+/// tick; `until` truncates the series (zero = everything).
+[[nodiscard]] std::string format_trace(const telemetry::WindowSeries& series,
                                        const std::string& block,
+                                       sim::SimTime period,
                                        sim::SimTime until = sim::SimTime::zero());
 
 /// Pretty-prints an energy in engineering units (pJ/nJ/uJ).

@@ -3,11 +3,11 @@
 // of the one-shot power report.
 //
 // A WindowSeries buckets per-tick contributions (a "tick" is whatever
-// discrete axis the producer uses: bus cycles for the power estimator,
-// femtoseconds for the legacy PowerTrace adapter) into fixed windows of
-// `window_ticks`. Each closed window carries one accumulated value per
-// named track; dividing by the window duration yields the power-vs-time
-// series of the paper's Figures 3-5. Window semantics (boundary
+// discrete axis the producer uses; the power estimator ticks in bus
+// cycles) into fixed windows of `window_ticks`. Each closed window
+// carries one accumulated value per named track; dividing by the window
+// duration (w.ticks x the clock period) yields the power-vs-time series
+// of the paper's Figures 3-5. Window semantics (boundary
 // crossing, gap windows, the partial final window, span splitting) are
 // specified in docs/OBSERVABILITY.md and locked down by
 // tests/telemetry/test_window.cpp.

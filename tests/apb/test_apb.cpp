@@ -205,8 +205,48 @@ TEST(ApbPower, MonitorAccumulatesOnTraffic) {
   ASSERT_TRUE(m.finished());
   EXPECT_GT(pwr.total_energy(), 0.0);
   EXPECT_GT(pwr.cycles(), 100u);
-  EXPECT_NE(pwr.activity().find("paddr"), nullptr);
-  EXPECT_GT(pwr.activity().find("pwdata")->bit_change_count(), 0u);
+  ASSERT_TRUE(pwr.activity().find("paddr").has_value());
+  EXPECT_GT(pwr.activity().bit_change_count(*pwr.activity().find("pwdata")), 0u);
+}
+
+TEST(ApbPower, EnergyAndChannelCountsMatchGolden) {
+  // Register-file and timer traffic through the bridge; the values were
+  // recorded before the APB monitor moved onto the packed activity store.
+  ApbBench b;
+  std::vector<Op> script;
+  for (int i = 0; i < 6; ++i) {
+    script.push_back(write_op(0x8000 + 4 * i, 0x9E3779B9u * (i + 1)));
+    script.push_back(read_op(0x8000 + 4 * ((i + 3) % 6)));
+    script.push_back(idle_op(i % 3));
+  }
+  script.push_back(write_op(0x8108, 0x00000005u));  // timer COMPARE
+  script.push_back(write_op(0x8100, 0x00000001u));  // timer CTRL: enable
+  script.push_back(idle_op(7));
+  script.push_back(read_op(0x8104));  // timer COUNT
+  script.push_back(read_op(0x8108));
+  script.push_back(read_op(0x8000));
+  ScriptedMaster m(&b.top, "m", b.bus, script);
+  b.finalize();
+  ApbPowerMonitor pwr(&b.top, "apb_pwr", b.bridge);
+  b.run_cycles(300);
+  ASSERT_TRUE(m.finished());
+  EXPECT_EQ(pwr.total_energy(), 0x1.90f982aebc1b8p-34);
+  ASSERT_EQ(pwr.cycles(), 299u);
+  const power::Activity& a = pwr.activity();
+  EXPECT_EQ(a.sample_count(), 299u);
+  struct Counts {
+    const char* channel;
+    std::uint64_t bit_changes, nonzero;
+  };
+  for (const Counts& want : {Counts{"paddr", 28, 16}, Counts{"pwdata", 123, 8},
+                             Counts{"prdata0", 62, 4}, Counts{"prdata1", 4, 2},
+                             Counts{"strobes", 82, 51}}) {
+    SCOPED_TRACE(want.channel);
+    const auto ch = a.find(want.channel);
+    ASSERT_TRUE(ch.has_value());
+    EXPECT_EQ(a.bit_change_count(*ch), want.bit_changes);
+    EXPECT_EQ(a.nonzero_count(*ch), want.nonzero);
+  }
 }
 
 TEST(ApbPower, IdleApbBusCostsNothing) {

@@ -110,13 +110,14 @@ TEST(Analytic, APrioriAssumptionLandsInTheRightBand) {
 }
 
 TEST(Analytic, NonzeroCountTracksIndicator) {
-  ActivityChannel ch;
-  ch.store_activity(0);
-  ch.store_activity(0);    // HD 0
-  ch.store_activity(1);    // HD 1
-  ch.store_activity(1);    // HD 0
-  ch.store_activity(3);    // HD 1
-  EXPECT_EQ(ch.nonzero_count(), 2u);
+  Activity a({"data_slave"});
+  unsigned hd = 0;
+  for (const std::uint64_t v : {0, 0, 1, 1, 3}) a.store_all(&v, &hd);  // HD 0,0,1,0,1
+  EXPECT_EQ(a.nonzero_count(0), 2u);
+  // from_activity reads the indicator as 2 toggling one-hot select lines.
+  const WorkloadStats s = AnalyticPowerModel::from_activity(a, 4, 0.0);
+  EXPECT_DOUBLE_EQ(s.hd_dslave, 2.0 * 2.0 / 4.0);
+  EXPECT_DOUBLE_EQ(s.hd_addr, 0.0);  // absent channels read as zero
 }
 
 }  // namespace

@@ -132,33 +132,37 @@ TEST(Estimator, PaperInstructionsAppear)
 }
 
 TEST(Estimator, TraceProducesWindows) {
-  PowerBench b(AhbPowerEstimator::Config{.trace_window = sim::SimTime::ns(100)});
+  PowerBench b(AhbPowerEstimator::Config{.telemetry_window_cycles = 10});
   b.run_cycles(1000);  // 10 us
-  b.est->flush_trace();
-  ASSERT_NE(b.est->trace(), nullptr);
-  const auto& pts = b.est->trace()->points();
-  ASSERT_GE(pts.size(), 90u);
+  b.est->flush_telemetry();
+  ASSERT_NE(b.est->windows(), nullptr);
+  const telemetry::WindowSeries& ws = *b.est->windows();
+  const sim::SimTime period = b.clk.period();
+  const std::vector<double> total = window_power(ws, "total", period);
+  ASSERT_GE(total.size(), 90u);
+  EXPECT_EQ(ws.windows()[10].start_tick, 100u);  // 10-cycle windows
   // Total power is the sum of the block powers.
-  const auto& p = pts[10];
-  EXPECT_NEAR(b.est->trace()->power_total(p),
-              b.est->trace()->power_arb(p) + b.est->trace()->power_dec(p) +
-                  b.est->trace()->power_m2s(p) + b.est->trace()->power_s2m(p),
+  const std::size_t i = 10;
+  EXPECT_NEAR(total[i],
+              window_power(ws, "arb", period)[i] + window_power(ws, "dec", period)[i] +
+                  window_power(ws, "m2s", period)[i] +
+                  window_power(ws, "s2m", period)[i],
               1e-9);
 }
 
 TEST(Estimator, TraceEnergyMatchesTotalEnergy) {
-  PowerBench b(AhbPowerEstimator::Config{.trace_window = sim::SimTime::ns(250)});
+  PowerBench b(AhbPowerEstimator::Config{.telemetry_window_cycles = 25});
   b.run_cycles(800);
-  b.est->flush_trace();
+  b.est->flush_telemetry();
   double trace_total = 0.0;
-  for (const auto& p : b.est->trace()->points()) trace_total += p.energy.total();
+  for (const double e : window_energy(*b.est->windows(), "total")) trace_total += e;
   EXPECT_NEAR(trace_total, b.est->total_energy(), b.est->total_energy() * 1e-9);
 }
 
 TEST(Estimator, NoTraceByDefault) {
   PowerBench b;
-  EXPECT_EQ(b.est->trace(), nullptr);
-  b.est->flush_trace();  // no-op, no crash
+  EXPECT_EQ(b.est->windows(), nullptr);
+  b.est->flush_telemetry();  // no-op, no crash
 }
 
 TEST(Styles, LocalAndGlobalAgreeExactly) {

@@ -191,10 +191,10 @@ TEST(PowerFsm, ActivityStorageIsPopulated) {
   fsm.step(write_view(0x0, 0x0));
   fsm.step(write_view(0xFFFFFFFF, 0xFFFFFFFF));
   const Activity& a = fsm.activity();
-  ASSERT_NE(a.find("haddr"), nullptr);
-  EXPECT_EQ(a.find("haddr")->bit_change_count(), 32u);
-  ASSERT_NE(a.find("hwdata"), nullptr);
-  EXPECT_EQ(a.find("hwdata")->bit_change_count(), 32u);
+  ASSERT_TRUE(a.find("haddr").has_value());
+  EXPECT_EQ(a.bit_change_count(*a.find("haddr")), 32u);
+  ASSERT_TRUE(a.find("hwdata").has_value());
+  EXPECT_EQ(a.bit_change_count(*a.find("hwdata")), 32u);
 }
 
 TEST(BlockEnergy, Arithmetic) {

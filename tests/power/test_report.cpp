@@ -1,5 +1,5 @@
 // Unit tests for result rendering: instruction table, block breakdown,
-// shares, trace CSV, and unit formatting.
+// shares, windowed power traces, and unit formatting.
 
 #include "power/report.hpp"
 
@@ -7,8 +7,10 @@
 
 #include <algorithm>
 #include <sstream>
+#include <vector>
 
 #include "sim/report.hpp"
+#include "telemetry/window.hpp"
 
 namespace ahbp::power {
 namespace {
@@ -94,72 +96,102 @@ TEST(Report, BlockBreakdownPercentagesSumTo100) {
   EXPECT_NE(s.find("10.00 %"), std::string::npos);  // arb = 1/10
 }
 
+/// The estimator's window series shape: the four block tracks, 10-tick
+/// windows by default; each tick is one 10 ns bus cycle.
+telemetry::WindowSeries block_series(std::uint64_t window_ticks = 10) {
+  return telemetry::WindowSeries({.window_ticks = window_ticks,
+                                  .tracks = {"arb", "dec", "m2s", "s2m"}});
+}
+const sim::SimTime kPeriod = sim::SimTime::ns(10);
+
+/// Count of lines in `s`.
+long lines(const std::string& s) { return std::count(s.begin(), s.end(), '\n'); }
+
 TEST(Report, TraceCsvHasHeaderAndRows) {
-  PowerTrace tr(sim::SimTime::ns(100));
-  BlockEnergy e{.arb = 1e-12, .dec = 1e-12, .m2s = 2e-12, .s2m = 1e-12};
-  tr.record(sim::SimTime::ns(10), e);
-  tr.record(sim::SimTime::ns(150), e);
-  tr.flush();
+  telemetry::WindowSeries ws = block_series();
+  ws.record(1, {1e-12, 1e-12, 2e-12, 1e-12});
+  ws.record(15, {1e-12, 1e-12, 2e-12, 1e-12});
+  ws.flush();
   std::ostringstream os;
-  write_trace_csv(os, tr);
+  write_trace_csv(os, ws, kPeriod);
   const std::string s = os.str();
-  EXPECT_NE(s.find("time_us,p_total_mw"), std::string::npos);
-  EXPECT_EQ(std::count(s.begin(), s.end(), '\n'), 3);  // header + 2 windows
+  EXPECT_NE(s.find("time_us,p_total_mw,p_arb_mw,p_dec_mw,p_m2s_mw,p_s2m_mw\n"),
+            std::string::npos);
+  EXPECT_EQ(lines(s), 3);  // header + 2 windows
+  // Window 0 is full (100 ns): 5 pJ -> 0.05 mW total, 0.02 mW M2S.
+  EXPECT_NE(s.find("\n0,0.05,0.01,0.01,0.02,0.01\n"), std::string::npos) << s;
+  // Window 1 starts at 0.1 us and covers the 6 cycles 10..15.
+  EXPECT_NE(s.find("\n0.1,"), std::string::npos) << s;
 }
 
 TEST(Report, FormatTraceSelectsBlock) {
-  PowerTrace tr(sim::SimTime::ns(100));
-  BlockEnergy e{.arb = 4e-12, .dec = 0, .m2s = 0, .s2m = 0};
-  tr.record(sim::SimTime::ns(10), e);
-  tr.flush();
-  const std::string total = format_trace(tr, "total");
-  const std::string arb = format_trace(tr, "arb");
-  const std::string dec = format_trace(tr, "dec");
+  telemetry::WindowSeries ws = block_series();
+  ws.record(1, {4e-12, 0, 0, 0});
+  ws.record(10, {0, 0, 0, 0});  // closes window 0 at its full 10 ticks
+  const std::string total = format_trace(ws, "total", kPeriod);
+  const std::string arb = format_trace(ws, "arb", kPeriod);
+  const std::string dec = format_trace(ws, "dec", kPeriod);
   EXPECT_NE(total.find("40.000 uW"), std::string::npos);  // 4pJ/100ns
   EXPECT_NE(arb.find("40.000 uW"), std::string::npos);
   EXPECT_NE(dec.find("0 W"), std::string::npos);
+  EXPECT_NE(arb.find("time         P_arb\n"), std::string::npos);
+}
+
+TEST(Report, FormatTraceRejectsUnknownBlock) {
+  telemetry::WindowSeries ws = block_series();
+  ws.record(1, {4e-12, 0, 0, 0});
+  ws.flush();
+  EXPECT_THROW((void)format_trace(ws, "M2S", kPeriod), sim::SimError);
+  EXPECT_THROW((void)format_trace(ws, "bogus", kPeriod), sim::SimError);
+  EXPECT_THROW((void)window_energy(ws, "Total"), sim::SimError);
+  EXPECT_NO_THROW((void)format_trace(ws, "s2m", kPeriod));
 }
 
 TEST(Report, FormatTraceHonorsUntil) {
-  PowerTrace tr(sim::SimTime::ns(100));
-  BlockEnergy e{.arb = 1e-12};
-  for (int i = 0; i < 10; ++i) {
-    tr.record(sim::SimTime::ns(100) * i + sim::SimTime::ns(5), e);
-  }
-  tr.flush();
-  const std::string all = format_trace(tr, "total");
-  const std::string cut = format_trace(tr, "total", sim::SimTime::ns(300));
-  EXPECT_GT(std::count(all.begin(), all.end(), '\n'),
-            std::count(cut.begin(), cut.end(), '\n'));
+  telemetry::WindowSeries ws = block_series();
+  for (std::uint64_t i = 0; i < 10; ++i) ws.record(10 * i + 5, {1e-12, 0, 0, 0});
+  ws.flush();
+  const std::string all = format_trace(ws, "total", kPeriod);
+  const std::string cut = format_trace(ws, "total", kPeriod, sim::SimTime::ns(300));
+  EXPECT_EQ(lines(all), 11);  // header + 10 windows
+  EXPECT_EQ(lines(cut), 4);   // header + windows at 0, 100 and 200 ns
 }
 
 TEST(Trace, WindowsCloseOnBoundaries) {
-  PowerTrace tr(sim::SimTime::us(1));
-  BlockEnergy e{.m2s = 1e-12};
-  tr.record(sim::SimTime::ns(100), e);
-  tr.record(sim::SimTime::ns(900), e);
-  EXPECT_TRUE(tr.points().empty());  // first window still open
-  tr.record(sim::SimTime::ns(1100), e);
-  ASSERT_EQ(tr.points().size(), 1u);
-  EXPECT_DOUBLE_EQ(tr.points()[0].energy.m2s, 2e-12);
-  EXPECT_EQ(tr.points()[0].start, sim::SimTime::zero());
-  tr.flush();
-  ASSERT_EQ(tr.points().size(), 2u);
-  EXPECT_EQ(tr.points()[1].start, sim::SimTime::us(1));
+  // Rendered rows appear as windows close; the flushed final window is
+  // divided by the cycles it covers, not the full window.
+  telemetry::WindowSeries ws = block_series();
+  ws.record(1, {0, 0, 1e-12, 0});
+  ws.record(9, {0, 0, 1e-12, 0});
+  EXPECT_EQ(lines(format_trace(ws, "m2s", kPeriod)), 1);  // header only
+  ws.record(11, {0, 0, 1e-12, 0});
+  EXPECT_EQ(format_trace(ws, "m2s", kPeriod), "time         P_m2s\n0 s          20.000 uW\n");
+  ws.flush();
+  EXPECT_EQ(format_trace(ws, "m2s", kPeriod),
+            "time         P_m2s\n0 s          20.000 uW\n100 ns       50.000 uW\n");
 }
 
 TEST(Trace, GapsProduceEmptyWindows) {
-  PowerTrace tr(sim::SimTime::us(1));
-  BlockEnergy e{.m2s = 1e-12};
-  tr.record(sim::SimTime::ns(100), e);
-  tr.record(sim::SimTime::us(3) + sim::SimTime::ns(100), e);
-  ASSERT_EQ(tr.points().size(), 3u);
-  EXPECT_DOUBLE_EQ(tr.points()[1].energy.total(), 0.0);
-  EXPECT_DOUBLE_EQ(tr.points()[2].energy.total(), 0.0);
+  telemetry::WindowSeries ws = block_series();
+  ws.record(1, {0, 0, 1e-12, 0});
+  ws.record(31, {0, 0, 1e-12, 0});
+  const std::vector<double> power = window_power(ws, "total", kPeriod);
+  ASSERT_EQ(power.size(), 3u);
+  EXPECT_DOUBLE_EQ(power[0], 1e-12 / 100e-9);
+  EXPECT_DOUBLE_EQ(power[1], 0.0);
+  EXPECT_DOUBLE_EQ(power[2], 0.0);
+  EXPECT_NE(format_trace(ws, "total", kPeriod).find("200 ns       0 W\n"),
+            std::string::npos);
 }
 
 TEST(Trace, RejectsZeroWindow) {
-  EXPECT_THROW(PowerTrace(sim::SimTime::zero()), sim::SimError);
+  EXPECT_THROW((void)block_series(0), sim::SimError);
+  telemetry::WindowSeries ws = block_series();
+  ws.record(1, {1e-12, 0, 0, 0});
+  ws.flush();
+  std::ostringstream os;
+  EXPECT_THROW(write_trace_csv(os, ws, sim::SimTime::zero()), sim::SimError);
+  EXPECT_THROW((void)window_power(ws, "total", sim::SimTime::zero()), sim::SimError);
 }
 
 TEST(Report, InstructionCsv) {
@@ -184,11 +216,9 @@ TEST(Report, ActivityReport) {
 }
 
 TEST(Report, ActivityReportChangeProbabilityBounds) {
-  Activity a;
-  auto& ch = a.channel("x");
-  ch.store_activity(0);
-  ch.store_activity(1);
-  ch.store_activity(1);
+  Activity a({"x"});
+  unsigned hd = 0;
+  for (const std::uint64_t v : {0, 1, 1}) a.store_all(&v, &hd);
   const std::string s = format_activity_report(a);
   // P(change) = 1 change / 2 transitions = 0.5.
   EXPECT_NE(s.find("0.500"), std::string::npos);

@@ -28,7 +28,12 @@ CycleView busy_view() {
 
 TEST(StepRepeated, MatchesLoopOfSteps) {
   PowerFsm looped(cfg3x4()), batched(cfg3x4());
+  CycleView w = busy_view();  // a different preceding cycle
+  w.haddr = 0x0F0F;
+  w.data_write = false;
   const CycleView v = busy_view();
+  looped.step(w);
+  batched.step(w);
   for (int i = 0; i < 100; ++i) looped.step(v);
   batched.step_repeated(v, 100);
 
@@ -51,6 +56,19 @@ TEST(StepRepeated, MatchesLoopOfSteps) {
   // Per-master attribution agrees too.
   EXPECT_NEAR(batched.per_master_energy()[0], looped.per_master_energy()[0],
               looped.per_master_energy()[0] * 1e-12);
+  // So do the activity statistics: the repetitions are zero-HD samples.
+  const Activity& la = looped.activity();
+  const Activity& ba = batched.activity();
+  EXPECT_EQ(ba.sample_count(), 101u);
+  EXPECT_EQ(ba.sample_count(), la.sample_count());
+  ASSERT_EQ(ba.size(), la.size());
+  for (std::size_t i = 0; i < la.size(); ++i) {
+    SCOPED_TRACE(la.name(i));
+    EXPECT_EQ(ba.nonzero_count(i), la.nonzero_count(i));
+    EXPECT_EQ(ba.bit_change_count(i), la.bit_change_count(i));
+    EXPECT_EQ(ba.mean_hd(i), la.mean_hd(i));
+  }
+  EXPECT_EQ(format_activity_report(ba), format_activity_report(la));
 }
 
 TEST(StepRepeated, SmallCountsAndZero) {
@@ -67,6 +85,7 @@ TEST(StepRepeated, SmallCountsAndZero) {
   b.step(v);
   EXPECT_EQ(a.cycles(), b.cycles());
   EXPECT_NEAR(a.total_energy(), b.total_energy(), b.total_energy() * 1e-12);
+  EXPECT_EQ(a.activity().sample_count(), b.activity().sample_count());
 }
 
 TEST(Physics, EnergyIndependentOfFrequencyPowerScalesWithIt) {

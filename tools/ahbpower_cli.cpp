@@ -724,11 +724,8 @@ int main(int argc, char** argv) {
   power::AhbPowerEstimator est(
       &top, "power", bus,
       power::AhbPowerEstimator::Config{
-          .trace_window = o.window_cycles > 0 && !o.csv.empty()
-              ? sim::SimTime::ns(kClockNs) *
-                    static_cast<std::int64_t>(o.window_cycles)
-              : sim::SimTime::zero(),
-          .telemetry_window_cycles = telemetry_on ? o.window_cycles : 0,
+          .telemetry_window_cycles =
+              telemetry_on || !o.csv.empty() ? o.window_cycles : 0,
           .txn_trace = o.txn_trace,
           .metrics = telemetry_on ? &metrics : nullptr});
   std::unique_ptr<ahb::TraceRecorder> recorder;
@@ -853,7 +850,7 @@ int main(int argc, char** argv) {
   if (!o.csv.empty()) {
     emit_or_die([&] {
       telemetry::AtomicFile file(o.csv);
-      power::write_trace_csv(file.stream(), *est.trace());
+      power::write_trace_csv(file.stream(), *est.windows(), clk.period());
       file.commit();
     });
     std::printf("\npower trace written to %s\n", o.csv.c_str());
