@@ -77,23 +77,17 @@ Task TrafficMaster::body() {
 
     // Pipelined beat engine: while beat N's data phase runs, beat N+1's
     // address phase is on the bus.
-    struct Beat {
-      bool write;
-      std::uint32_t addr;
-      std::uint32_t data;  ///< write value / expected read-back
-    };
-    std::vector<Beat> beats;
-    beats.reserve(2 * pairs);
+    beats_.clear();
     for (unsigned p = 0; p < pairs; ++p) {
       const std::uint32_t a = rand_addr();
       const std::uint32_t d = static_cast<std::uint32_t>(rng_());
-      beats.push_back(Beat{true, a, d});
-      beats.push_back(Beat{false, a, d});
+      beats_.push_back(Beat{true, a, d});
+      beats_.push_back(Beat{false, a, d});
     }
 
     bool have_pending = false;
     Beat pending{};
-    for (const Beat& b : beats) {
+    for (const Beat& b : beats_) {
       // Address phase for beat b; write-data phase for the pending beat.
       sig_.htrans.write(raw(Trans::kNonSeq));
       sig_.haddr.write(b.addr);

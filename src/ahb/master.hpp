@@ -81,9 +81,17 @@ public:
 private:
   sim::Task body();
 
+  /// One beat of a bus tenure.
+  struct Beat {
+    bool write;
+    std::uint32_t addr;
+    std::uint32_t data;  ///< write value / expected read-back
+  };
+
   Config cfg_;
   Stats stats_;
   std::mt19937_64 rng_;
+  std::vector<Beat> beats_;  ///< current tenure; capacity reused
   sim::Thread thread_;
 };
 

@@ -9,9 +9,7 @@ Clock::Clock(Module* parent, std::string name, SimTime period, double duty,
     : Module(parent, std::move(name)),
       period_(period),
       start_delay_(start_delay),
-      sig_(this, "clk", false),
-      tick_event_(this, "tick"),
-      driver_(this, "driver", [this] { tick(); }) {
+      sig_(this, "clk", false) {
   if (period <= SimTime::zero()) throw SimError("clock period must be positive");
   if (duty <= 0.0 || duty >= 1.0) throw SimError("clock duty cycle must be in (0,1)");
   high_time_ = SimTime::fs(
@@ -20,23 +18,23 @@ Clock::Clock(Module* parent, std::string name, SimTime period, double duty,
   if (high_time_ <= SimTime::zero() || low_time_ <= SimTime::zero()) {
     throw SimError("clock duty cycle unrepresentable at this period");
   }
-  driver_.sensitive(tick_event_);
+  kernel().register_clock(*this);
 }
 
-void Clock::tick() {
-  if (!started_) {
-    // Process initialization at time 0: establish the low level and wait
-    // out the start delay (a zero delay means the clock rises right away,
-    // still at time 0, one delta later).
-    started_ = true;
-    if (start_delay_ > SimTime::zero()) {
-      sig_.write(false);
-      tick_event_.notify(start_delay_);
-      return;
-    }
+Clock::~Clock() { kernel().unregister_clock(*this); }
+
+void Clock::start() {
+  started_ = true;
+  if (start_delay_ > SimTime::zero()) {
+    next_edge_ = kernel().now() + start_delay_;
+  } else {
+    edge();  // rises at now(), visible one delta later
   }
+}
+
+void Clock::edge() {
   sig_.write(next_value_);
-  tick_event_.notify(next_value_ ? high_time_ : low_time_);
+  next_edge_ = kernel().now() + (next_value_ ? high_time_ : low_time_);
   next_value_ = !next_value_;
 }
 

@@ -78,18 +78,15 @@ void Event::remove_dynamic(Process& p) {
 }
 
 void Event::trigger() {
-  last_triggered_ = kernel().now();
   for (Process* p : static_sensitive_) kernel().make_runnable(*p);
-  if (!dynamic_waiters_.empty()) {
-    // One-shot semantics: move the list out first, since a woken process
-    // may re-subscribe during the same evaluation phase.
-    std::vector<Process*> waiters;
-    waiters.swap(dynamic_waiters_);
-    for (Process* p : waiters) {
-      p->dynamic_wait_event_ = nullptr;
-      kernel().make_runnable(*p);
-    }
+  // One-shot waiters are cleared in place, keeping the capacity for the
+  // next wait. make_runnable only queues the process, so none of them can
+  // re-subscribe while this loop runs.
+  for (Process* p : dynamic_waiters_) {
+    p->dynamic_wait_event_ = nullptr;
+    kernel().make_runnable(*p);
   }
+  dynamic_waiters_.clear();
 }
 
 }  // namespace ahbp::sim

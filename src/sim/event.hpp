@@ -42,15 +42,18 @@ public:
   /// True if a delta or timed notification is pending.
   [[nodiscard]] bool pending() const { return pending_ != Pending::kNone; }
 
+  /// True if a trigger would wake anything: some process is statically
+  /// sensitive to this event or dynamically waiting on it.
+  [[nodiscard]] bool has_subscribers() const {
+    return !static_sensitive_.empty() || !dynamic_waiters_.empty();
+  }
+
   /// Static sensitivity management (used by Process::sensitive()).
   void add_static(Process& p);
   void remove_static(Process& p);
   /// One-shot subscription for a dynamically waiting process.
   void add_dynamic(Process& p);
   void remove_dynamic(Process& p);
-
-  /// Kernel time of the most recent trigger, or SimTime::max() if never.
-  [[nodiscard]] SimTime last_triggered() const { return last_triggered_; }
 
 private:
   friend class Kernel;
@@ -64,7 +67,6 @@ private:
   Pending pending_ = Pending::kNone;
   SimTime pending_time_;
   std::uint64_t stamp_ = 0;  ///< invalidates stale timed-queue entries
-  SimTime last_triggered_ = SimTime::max();
   std::vector<Process*> static_sensitive_;
   std::vector<Process*> dynamic_waiters_;
 };

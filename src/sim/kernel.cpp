@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 
+#include "sim/clock.hpp"
 #include "sim/event.hpp"
 #include "sim/object.hpp"
 #include "sim/process.hpp"
@@ -33,43 +34,48 @@ Kernel& Kernel::current() {
 
 Kernel* Kernel::current_or_null() { return current_; }
 
+namespace {
+template <typename T>
+void erase_value(std::vector<T*>& v, T* value) {
+  v.erase(std::remove(v.begin(), v.end(), value), v.end());
+}
+}  // namespace
+
 void Kernel::register_object(Object& o) { objects_.push_back(&o); }
 
-void Kernel::unregister_object(Object& o) {
-  objects_.erase(std::remove(objects_.begin(), objects_.end(), &o), objects_.end());
-}
+void Kernel::unregister_object(Object& o) { erase_value(objects_, &o); }
 
-void Kernel::register_process(Process& p) { processes_.push_back(&p); }
+void Kernel::register_process(Process& p) {
+  processes_.push_back(&p);
+  uninitialized_.push_back(&p);
+}
 
 void Kernel::unregister_process(Process& p) {
-  processes_.erase(std::remove(processes_.begin(), processes_.end(), &p),
-                   processes_.end());
-  runnable_.erase(std::remove(runnable_.begin(), runnable_.end(), &p), runnable_.end());
+  erase_value(processes_, &p);
+  erase_value(uninitialized_, &p);
+  erase_value(runnable_, &p);
 }
 
-void Kernel::make_runnable(Process& p) {
-  if (p.in_runnable_ || p.done_) return;
-  p.in_runnable_ = true;
-  runnable_.push_back(&p);
-}
+void Kernel::register_clock(Clock& c) { clocks_.push_back(&c); }
 
-void Kernel::schedule_delta(Event& e) { delta_queue_.push_back(&e); }
+void Kernel::unregister_clock(Clock& c) { erase_value(clocks_, &c); }
 
 void Kernel::schedule_timed(Event& e, SimTime abs_time, std::uint64_t stamp) {
   timed_queue_.push(TimedEntry{abs_time, timed_seq_++, &e, stamp});
 }
-
-void Kernel::request_update(SignalBase& s) { update_queue_.push_back(&s); }
 
 void Kernel::add_timestep_callback(std::function<void()> cb) {
   timestep_callbacks_.push_back(std::move(cb));
 }
 
 void Kernel::initialize() {
-  initialized_ = true;
-  for (Process* p : processes_) {
+  for (Clock* c : clocks_) {
+    if (!c->started_) c->start();
+  }
+  for (Process* p : uninitialized_) {
     if (p->initialize_) make_runnable(*p);
   }
+  uninitialized_.clear();
 }
 
 void Kernel::do_delta() {
@@ -145,7 +151,7 @@ std::string Kernel::watchdog_context() const {
 void Kernel::run(SimTime duration) {
   const SimTime end =
       duration == SimTime::max() ? SimTime::max() : now_ + duration;
-  if (!initialized_) initialize();
+  initialize();
   running_ = true;
   stop_requested_ = false;
 
@@ -177,7 +183,9 @@ void Kernel::run(SimTime duration) {
     }
     // Time advance: settled values at the current time are final.
     fire_timestep_callbacks();
-    if (timed_queue_.empty()) {
+    SimTime next = timed_queue_.empty() ? SimTime::max() : timed_queue_.top().time;
+    for (const Clock* c : clocks_) next = std::min(next, c->next_edge_);
+    if (next == SimTime::max()) {
       // Genuine quiesce: nothing can ever run again. With deadlock
       // diagnosis armed, threads still suspended here are waiting on
       // events that can no longer fire.
@@ -193,7 +201,6 @@ void Kernel::run(SimTime duration) {
       }
       break;
     }
-    const SimTime next = timed_queue_.top().time;
     if (next > end) break;
     if (stats_.time_advances >= cycle_limit) {
       running_ = false;
@@ -222,6 +229,11 @@ void Kernel::run(SimTime duration) {
     }
     now_ = next;
     ++stats_.time_advances;
+    // Clock edges first: their writes land in this instant's first update
+    // phase, one delta before the edge events wake their subscribers.
+    for (Clock* c : clocks_) {
+      if (c->next_edge_ == now_) c->edge();
+    }
     // Trigger every valid event scheduled for this instant.
     while (!timed_queue_.empty() && timed_queue_.top().time == now_) {
       const TimedEntry entry = timed_queue_.top();

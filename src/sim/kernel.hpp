@@ -8,8 +8,15 @@
 //                 their value-changed events as delta notifications
 //   3. notify   : trigger delta-queued events, making processes runnable
 //                 for the next delta cycle at the same time
-//   4. advance  : when no process is runnable, jump to the earliest timed
-//                 notification and trigger it
+//   4. advance  : when no process is runnable, jump to the earliest of
+//                 the next timed notification and the next clock edge;
+//                 write the clocks that edge there (applied in that
+//                 instant's first update phase) and trigger the events
+//
+// Signals only queue the notifications somebody listens to, and clocks
+// are driven by the kernel rather than by a process per clock, so a clock
+// edge costs no process activation; the hot loop reuses its queues and
+// allocates nothing the modelled design does not ask for.
 //
 // One Kernel instance is alive *per thread* (enforced); top-level objects
 // attach to Kernel::current(), which is thread-local. Independent
@@ -26,14 +33,15 @@
 #include <string>
 #include <vector>
 
+#include "sim/process.hpp"
 #include "sim/report.hpp"
 #include "sim/time.hpp"
 
 namespace ahbp::sim {
 
 class Object;
+class Clock;
 class Event;
-class Process;
 class SignalBase;
 
 /// Execution budget enforced by Kernel::run() -- the watchdog that keeps
@@ -113,14 +121,17 @@ public:
   struct Stats {
     std::uint64_t processes_executed = 0;  ///< process activations
     std::uint64_t timed_notifications = 0; ///< timed events triggered
+                                           ///< (clock edges excluded)
     std::uint64_t time_advances = 0;       ///< distinct simulated instants
   };
   [[nodiscard]] const Stats& stats() const { return stats_; }
 
   /// Runs the simulation for `duration` (default: until no activity
-  /// remains). On return, now() has advanced to start + duration, or to
-  /// the last activity if the event queues drained first (or if duration
-  /// is SimTime::max()).
+  /// remains). Every process and clock constructed since the previous
+  /// run() is initialized first: processes run once unless marked
+  /// dont_initialize(), clocks start their waveform at now(). On return,
+  /// now() has advanced to start + duration, or to the last activity if
+  /// the event queues drained first (or if duration is SimTime::max()).
   void run(SimTime duration = SimTime::max());
 
   /// Requests run() to return after the current delta cycle completes.
@@ -169,16 +180,24 @@ public:
   void unregister_object(Object& o);
   void register_process(Process& p);
   void unregister_process(Process& p);
-  void make_runnable(Process& p);
-  void schedule_delta(Event& e);
+  void register_clock(Clock& c);
+  void unregister_clock(Clock& c);
+  void make_runnable(Process& p) {
+    if (p.in_runnable_ || p.done_) return;
+    p.in_runnable_ = true;
+    runnable_.push_back(&p);
+  }
+  void schedule_delta(Event& e) { delta_queue_.push_back(&e); }
   void schedule_timed(Event& e, SimTime abs_time, std::uint64_t stamp);
-  void request_update(SignalBase& s);
+  void request_update(SignalBase& s) { update_queue_.push_back(&s); }
   ///@}
 
 private:
+  /// Initializes the processes and clocks constructed since the last
+  /// run(): starts each clock and makes each process runnable unless it
+  /// asked for dont_initialize().
   void initialize();
-  /// Runs eval/update/notify once; returns true if further deltas are
-  /// pending at the current time.
+  /// Runs eval/update/notify once.
   void do_delta();
   void fire_timestep_callbacks();
 
@@ -200,7 +219,6 @@ private:
   std::uint64_t delta_count_ = 0;
   Stats stats_;
   std::uint64_t timed_seq_ = 0;
-  bool initialized_ = false;
   bool running_ = false;
   bool stop_requested_ = false;
 
@@ -211,6 +229,8 @@ private:
 
   std::vector<Object*> objects_;
   std::vector<Process*> processes_;
+  std::vector<Process*> uninitialized_;  ///< registered since the last run()
+  std::vector<Clock*> clocks_;
   std::vector<Process*> runnable_;
   std::vector<Event*> delta_queue_;
   std::vector<SignalBase*> update_queue_;

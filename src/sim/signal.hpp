@@ -3,12 +3,15 @@
 //
 // Writes during the evaluation phase are buffered; the kernel applies them
 // in the update phase, and a changed value notifies the signal's
-// value-changed event as a delta notification. This gives deterministic
+// value-changed event as a delta notification -- when some process listens
+// to it (no process runs between the update and delta-notify phases, so
+// nobody can subscribe in between). This gives deterministic
 // simulation independent of process execution order, exactly as in
 // SystemC's sc_signal.
 
 #include <concepts>
 #include <string>
+#include <type_traits>
 #include <utility>
 
 #include "sim/event.hpp"
@@ -51,8 +54,7 @@ public:
         current_(initial),
         next_(std::move(initial)),
         changed_(parent, basename() + ".changed"),
-        posedge_(parent, basename() + ".pos"),
-        negedge_(parent, basename() + ".neg") {}
+        edges_(parent, basename()) {}
 
   /// Current (settled) value.
   [[nodiscard]] const T& read() const { return current_; }
@@ -74,13 +76,13 @@ public:
   [[nodiscard]] Event& posedge_event()
     requires std::same_as<T, bool>
   {
-    return posedge_;
+    return edges_.pos;
   }
   /// For Signal<bool>: fires on true->false updates.
   [[nodiscard]] Event& negedge_event()
     requires std::same_as<T, bool>
   {
-    return negedge_;
+    return edges_.neg;
   }
 
   /// True if the value changed in the immediately preceding update phase
@@ -93,32 +95,39 @@ public:
   void apply_update() override {
     update_requested_ = false;
     if (next_ == current_) return;
-    const bool was = to_bool(current_);
     current_ = next_;
     last_change_time_ = kernel().now();
     last_change_delta_ = kernel().delta_count();
-    changed_.notify_delta();
+    notify_if_heard(changed_);
     if constexpr (std::same_as<T, bool>) {
-      if (!was && current_) posedge_.notify_delta();
-      if (was && !current_) negedge_.notify_delta();
+      notify_if_heard(current_ ? edges_.pos : edges_.neg);
     }
   }
 
 private:
-  static bool to_bool(const T& v) {
-    if constexpr (std::same_as<T, bool>) {
-      return v;
-    } else {
-      (void)v;
-      return false;
-    }
+  /// posedge/negedge events, constructed for Signal<bool> only.
+  struct EdgeEvents {
+    EdgeEvents(Module* parent, const std::string& base)
+        : pos(parent, base + ".pos"), neg(parent, base + ".neg") {}
+    Event pos;
+    Event neg;
+  };
+  struct NoEdgeEvents {
+    NoEdgeEvents(Module*, const std::string&) {}
+  };
+
+  /// Queues `e` as a delta notification unless that could not wake
+  /// anything. An event with a pending notification is always notified,
+  /// so a pending timed notification is still overridden.
+  static void notify_if_heard(Event& e) {
+    if (e.has_subscribers() || e.pending()) e.notify_delta();
   }
 
   T current_;
   T next_;
   Event changed_;
-  Event posedge_;
-  Event negedge_;
+  [[no_unique_address]] std::conditional_t<std::same_as<T, bool>, EdgeEvents,
+                                           NoEdgeEvents> edges_;
   SimTime last_change_time_ = SimTime::max();
   std::uint64_t last_change_delta_ = UINT64_MAX;
 };

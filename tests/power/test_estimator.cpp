@@ -211,5 +211,21 @@ TEST(Styles, GlobalAnalyzerIsBusAgnostic) {
   EXPECT_GT(analyzer.total_energy(), 0.0);
 }
 
+TEST(Estimator, PaperRigKernelActivityPerCycle) {
+  // Pins the scheduler's work on the estimator + monitor rig. Clock edges
+  // cost no process activation and no timed notification: a clock driven
+  // by a process of its own would add one activation at initialization
+  // and one per edge (1999 in 1000 cycles), i.e. 2 per cycle.
+  PowerBench b;
+  ahb::BusMonitor mon(&b.top, "monitor", b.bus);
+  b.run_cycles(1000);
+  const sim::Kernel::Stats& st = b.kernel.stats();
+  EXPECT_EQ(st.processes_executed, 12525u);
+  EXPECT_EQ(st.time_advances, 1999u);
+  EXPECT_EQ(st.timed_notifications, 0u);
+  EXPECT_EQ(b.kernel.delta_count(), 5491u);
+  EXPECT_TRUE(mon.violations().empty());
+}
+
 }  // namespace
 }  // namespace ahbp::power

@@ -260,6 +260,48 @@ TEST(Kernel, MethodExceptionPropagatesOutOfRun) {
   EXPECT_THROW(k.run(), SimError);
 }
 
+TEST(Kernel, MethodBuiltBetweenRunsInitializes) {
+  Kernel k;
+  Module top(nullptr, "top");
+  k.run(SimTime::ns(10));
+  int runs = 0;
+  Method m(&top, "m", [&] { ++runs; });
+  k.run(SimTime::ns(10));
+  EXPECT_EQ(runs, 1);
+  k.run(SimTime::ns(10));
+  EXPECT_EQ(runs, 1);  // initialized once, not on every run()
+}
+
+TEST(Kernel, DontInitializeHonouredForMethodBuiltBetweenRuns) {
+  Kernel k;
+  Module top(nullptr, "top");
+  k.run(SimTime::ns(10));
+  Event ev(&top, "ev");
+  std::vector<SimTime> seen;
+  Method m(&top, "m", [&] { seen.push_back(k.now()); });
+  m.sensitive(ev).dont_initialize();  // set after construction
+  ev.notify(SimTime::ns(5));
+  k.run(SimTime::ns(10));
+  ASSERT_EQ(seen.size(), 1u);
+  EXPECT_EQ(seen[0], SimTime::ns(15));
+}
+
+TEST(Kernel, ClockEdgesRunNoProcess) {
+  // The kernel drives clocks itself: the only activations are the
+  // subscriber's, one per posedge.
+  Kernel k;
+  Module top(nullptr, "top");
+  Clock clk(&top, "clk", SimTime::ns(10), 0.5, SimTime::ns(10));
+  int edges = 0;
+  Method m(&top, "m", [&] { ++edges; });
+  m.sensitive(clk.posedge_event()).dont_initialize();
+  k.run(SimTime::ns(100));
+  EXPECT_EQ(edges, 10);
+  EXPECT_EQ(k.stats().processes_executed, 10u);
+  EXPECT_EQ(k.stats().timed_notifications, 0u);
+  EXPECT_EQ(k.stats().time_advances, 19u);  // edges at 10, 15, ..., 100 ns
+}
+
 TEST(Reporter, ErrorsThrowAndCount) {
   Reporter::reset_counts();
   EXPECT_THROW(Reporter::report(Severity::kError, "T", "bad"), SimError);

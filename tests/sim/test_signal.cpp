@@ -136,6 +136,37 @@ TEST(Signal, PosedgeAndNegedgeEvents) {
   EXPECT_EQ(neg, 1);
 }
 
+TEST(Signal, OnlyBoolSignalsOwnEdgeEvents) {
+  Kernel k;
+  Module top(nullptr, "top");
+  const std::size_t before = k.objects().size();
+  Signal<int> word(&top, "word");
+  EXPECT_EQ(k.objects().size(), before + 2);  // signal + value-changed event
+  Signal<bool> bit(&top, "bit");
+  EXPECT_EQ(k.objects().size(), before + 6);  // + changed, pos and neg events
+}
+
+TEST(Signal, UnheardChangeStillOverridesPendingTimedNotification) {
+  // A value change notifies the changed event as a delta notification even
+  // with no subscriber when the event has a timed notification pending, so
+  // that notification is overridden and never fires later.
+  Kernel k;
+  Module top(nullptr, "top");
+  Signal<int> s(&top, "s", 0);
+  s.value_changed_event().notify(SimTime::ns(100));
+  Method w(&top, "w", [&] { s.write(1); });
+  bool woken = false;
+  Thread t(&top, "t", [&]() -> Task {
+    co_await wait(SimTime::ns(50));
+    co_await wait(s.value_changed_event());
+    woken = true;
+  });
+  k.run(SimTime::ns(200));
+  EXPECT_EQ(s.read(), 1);
+  EXPECT_FALSE(s.value_changed_event().pending());
+  EXPECT_FALSE(woken);
+}
+
 TEST(Signal, EventQueryTrueRightAfterChange) {
   Kernel k;
   Module top(nullptr, "top");
