@@ -18,8 +18,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include <time.h>
-
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
@@ -152,25 +150,9 @@ BENCHMARK(BM_PowerTxnTrace)->Unit(benchmark::kMillisecond);
 // confidence interval lies wholly below the bound, or until a pair
 // budget runs out and the median alone decides.
 
-/// CPU seconds the calling thread spent so far.
-double thread_cpu_seconds() {
-  timespec ts{};
-  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
-  return static_cast<double>(ts.tv_sec) + static_cast<double>(ts.tv_nsec) * 1e-9;
-}
-
-/// The q-quantile of sorted `v` (linear interpolation).
-double quantile(const std::vector<double>& v, double q) {
-  const double pos = q * static_cast<double>(v.size() - 1);
-  const auto lo = static_cast<std::size_t>(pos);
-  const std::size_t hi = std::min(lo + 1, v.size() - 1);
-  return v[lo] + (pos - static_cast<double>(lo)) * (v[hi] - v[lo]);
-}
-
-std::vector<double> sorted(std::vector<double> v) {
-  std::sort(v.begin(), v.end());
-  return v;
-}
+using bench::quantile;
+using bench::sorted;
+using bench::thread_cpu_seconds;
 
 /// Distribution-free 95% confidence interval of the median of sorted
 /// `v`: the order statistics n/2 -+ 0.98 sqrt(n) (normal approximation

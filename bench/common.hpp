@@ -4,11 +4,15 @@
 // WRITE-READ non-interruptible sequences and IDLE commands, one simple
 // default master, and three slaves on an AMBA AHB, clocked at 100 MHz.
 
+#include <time.h>
+
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <memory>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "ahb/ahb.hpp"
 #include "campaign/campaign.hpp"
@@ -103,6 +107,28 @@ inline campaign::RunSpec paper_run_spec(std::string name, PaperSystem::Options o
                              r.cycles = sys.est->fsm().cycles();
                              return r;
                            }};
+}
+
+/// CPU seconds the calling thread spent so far. Timing guards measure
+/// in thread CPU time, so time the thread spends descheduled never
+/// counts.
+inline double thread_cpu_seconds() {
+  timespec ts{};
+  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) + static_cast<double>(ts.tv_nsec) * 1e-9;
+}
+
+/// The q-quantile of sorted `v` (linear interpolation).
+inline double quantile(const std::vector<double>& v, double q) {
+  const double pos = q * static_cast<double>(v.size() - 1);
+  const auto lo = static_cast<std::size_t>(pos);
+  const std::size_t hi = std::min(lo + 1, v.size() - 1);
+  return v[lo] + (pos - static_cast<double>(lo)) * (v[hi] - v[lo]);
+}
+
+inline std::vector<double> sorted(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  return v;
 }
 
 }  // namespace ahbp::bench

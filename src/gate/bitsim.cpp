@@ -3,6 +3,7 @@
 #include <bit>
 #include <numeric>
 
+#include "power/activity.hpp"
 #include "sim/report.hpp"
 
 namespace ahbp::gate {
@@ -117,7 +118,7 @@ void BitSim::account_and_commit(bool account) {
     for (NetId n = 0; n < n_nets; ++n) {
       const std::uint64_t mask = scratch_[n] ^ values_[n];
       if (mask == 0) continue;
-      const int pc = std::popcount(mask);
+      const unsigned pc = power::popcount64(mask);
       toggle_counts_[n] += static_cast<std::uint64_t>(pc);
       const double w = toggle_energy_[n];
       energy_ += static_cast<double>(pc) * w;

@@ -6,7 +6,8 @@
 // word-wide AND/OR/XOR/NOT, turning 64 GateSim trials into a single
 // levelized pass -- the software form of the FPGA power-emulation trick
 // in *Hardware Accelerated Power Estimation* (arXiv 0710.4742). Toggle
-// activity falls out of std::popcount(next ^ prev) per net.
+// activity falls out of a popcount of (next ^ prev) per net
+// (power::popcount64, the codebase's one libcall-free popcount).
 //
 // Lane semantics: each lane is an independent scalar simulation. For
 // any lane j, the per-net value stream, toggle counts and accounted

@@ -12,25 +12,6 @@ Activity::Activity(std::vector<std::string> names)
       bit_changes_(names_.size(), 0),
       nonzero_(names_.size(), 0) {}
 
-void Activity::store_all(const std::uint64_t* vals, unsigned* hd_out) {
-  const std::size_t n = names_.size();
-  if (samples_ > 0) {
-    for (std::size_t i = 0; i < n; ++i) {
-      const unsigned hd = hamming(last_value_[i], vals[i]);
-      hd_out[i] = hd;
-      bit_changes_[i] += hd;
-      nonzero_[i] += hd != 0 ? 1 : 0;
-      last_value_[i] = vals[i];
-    }
-  } else {
-    for (std::size_t i = 0; i < n; ++i) {
-      hd_out[i] = 0;
-      last_value_[i] = vals[i];
-    }
-  }
-  ++samples_;
-}
-
 void Activity::store_repeated(std::uint64_t n) {
   if (n > 0 && samples_ == 0) {
     throw sim::SimError("Activity::store_repeated: no previous observation");

@@ -10,7 +10,8 @@
 // stores every signal's activity once per cycle, and bit_change_count()
 // is the paper's counter.
 
-#include <bit>
+#include <array>
+#include <cassert>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -19,12 +20,24 @@
 
 namespace ahbp::power {
 
+/// Number of set bits in `x`, branch-free: SWAR sums over bit pairs,
+/// nibbles and bytes, then one multiply adds the eight byte counts.
+/// Used instead of std::popcount, which on a target without a popcount
+/// instruction (the default x86-64 build) is an out-of-line libgcc
+/// call. GCC recognises this pattern: it emits a single popcnt where
+/// the target has one (-march=native) and inline shift/mask/multiply
+/// code elsewhere.
+[[nodiscard]] constexpr unsigned popcount64(std::uint64_t x) {
+  x = x - ((x >> 1) & 0x5555555555555555ull);
+  x = (x & 0x3333333333333333ull) + ((x >> 2) & 0x3333333333333333ull);
+  x = (x + (x >> 4)) & 0x0F0F0F0F0F0F0F0Full;
+  return static_cast<unsigned>((x * 0x0101010101010101ull) >> 56);
+}
+
 /// Hamming distance between two words: the number of toggling bits --
-/// the central activity measure of the paper's macromodels. One
-/// popcount instruction on any modern target (the old Kernighan loop
-/// was O(toggles) of dependent ops).
+/// the central activity measure of the paper's macromodels.
 [[nodiscard]] constexpr unsigned hamming(std::uint64_t a, std::uint64_t b) {
-  return static_cast<unsigned>(std::popcount(a ^ b));
+  return popcount64(a ^ b);
 }
 
 /// Switching-activity accumulator for a fixed set of channels, one per
@@ -44,7 +57,19 @@ public:
   /// Observes one value per channel (vals[i] -> channel i) and writes
   /// each channel's Hamming distance to hd_out[i]. The first
   /// observation yields 0 for every channel.
-  void store_all(const std::uint64_t* vals, unsigned* hd_out);
+  void store_all(const std::uint64_t* vals, unsigned* hd_out) {
+    store_n(vals, hd_out, names_.size());
+  }
+
+  /// store_all() with the channel count fixed at compile time (N must
+  /// equal size()), so the pass compiles to straight-line code. The
+  /// per-cycle path of PowerFsm.
+  template <std::size_t N>
+  void store_all(const std::array<std::uint64_t, N>& vals,
+                 std::array<unsigned, N>& hd_out) {
+    assert(N == names_.size());
+    store_n(vals.data(), hd_out.data(), N);
+  }
 
   /// Records `n` further observations equal to the previous one (zero
   /// Hamming distance on every channel) in O(1). Requires a previous
@@ -81,6 +106,27 @@ public:
   void reset();
 
 private:
+  void store_n(const std::uint64_t* vals, unsigned* hd_out, std::size_t n) {
+    std::uint64_t* last = last_value_.data();
+    if (samples_ > 0) {
+      std::uint64_t* changes = bit_changes_.data();
+      std::uint64_t* nonzero = nonzero_.data();
+      for (std::size_t i = 0; i < n; ++i) {
+        const unsigned hd = hamming(last[i], vals[i]);
+        hd_out[i] = hd;
+        changes[i] += hd;
+        nonzero[i] += hd != 0 ? 1 : 0;
+        last[i] = vals[i];
+      }
+    } else {
+      for (std::size_t i = 0; i < n; ++i) {
+        hd_out[i] = 0;
+        last[i] = vals[i];
+      }
+    }
+    ++samples_;
+  }
+
   std::vector<std::string> names_;
   std::vector<std::uint64_t> last_value_;
   std::vector<std::uint64_t> bit_changes_;

@@ -1,7 +1,6 @@
 #include "power/macromodel.hpp"
 
 #include "gate/synth.hpp"
-#include "power/activity.hpp"
 #include "sim/report.hpp"
 
 namespace ahbp::power {
@@ -25,21 +24,14 @@ double LinearModel::energy(const std::vector<double>& features) const {
 // DecoderModel
 
 DecoderModel::DecoderModel(unsigned n_outputs, gate::Technology tech)
-    : n_outputs_(n_outputs), n_inputs_(gate::select_bits(n_outputs)), tech_(tech) {
+    // Paper, Sec. 5.1:
+    //   E_DEC = VDD^2/4 * (nO * nI * C_PD * HD_IN + 2 * HD_OUT * C_O)
+    : n_outputs_(n_outputs),
+      n_inputs_(gate::select_bits(n_outputs)),
+      vdd2_4_(tech.vdd * tech.vdd / 4.0),
+      in_scale_(static_cast<double>(n_outputs_) * n_inputs_ * tech.c_node),
+      out_term_(2.0 * tech.c_out) {
   if (n_outputs < 2) throw SimError("DecoderModel: need >= 2 outputs");
-}
-
-double DecoderModel::energy(unsigned hd_in) const {
-  // Paper, Sec. 5.1:
-  //   E_DEC = VDD^2/4 * (nO * nI * C_PD * HD_IN + 2 * HD_OUT * C_O)
-  const unsigned hd_out = hd_in >= 1 ? 1u : 0u;
-  const double vdd2_4 = tech_.vdd * tech_.vdd / 4.0;
-  return vdd2_4 * (static_cast<double>(n_outputs_) * n_inputs_ * tech_.c_node * hd_in +
-                   2.0 * hd_out * tech_.c_out);
-}
-
-double DecoderModel::energy(std::uint64_t prev_in, std::uint64_t cur_in) const {
-  return energy(hamming(prev_in, cur_in));
 }
 
 // ---------------------------------------------------------------------------
@@ -50,15 +42,13 @@ MuxModel::MuxModel(unsigned width, unsigned n_inputs, gate::Technology tech)
 
 MuxModel::MuxModel(unsigned width, unsigned n_inputs, gate::Technology tech,
                    Coefficients k)
-    : width_(width), n_inputs_(n_inputs), tech_(tech), k_(k) {
+    : width_(width),
+      n_inputs_(n_inputs),
+      k_(k),
+      scale_(tech.vdd * tech.vdd / 4.0 * tech.c_node),
+      sel_scale_(k.k_sel * static_cast<double>(width)),
+      out_ratio_(tech.c_out / tech.c_node) {
   if (width < 1 || n_inputs < 2) throw SimError("MuxModel: bad shape");
-}
-
-double MuxModel::energy(unsigned hd_in, unsigned hd_sel, unsigned hd_out) const {
-  const double vdd2_4 = tech_.vdd * tech_.vdd / 4.0;
-  return vdd2_4 * tech_.c_node *
-         (k_.k_in * hd_in + k_.k_sel * static_cast<double>(width_) * hd_sel +
-          k_.k_out * hd_out * (tech_.c_out / tech_.c_node));
 }
 
 // ---------------------------------------------------------------------------
@@ -78,10 +68,6 @@ ArbiterFsmModel::ArbiterFsmModel(unsigned n_masters, gate::Technology tech)
   // A handover toggles ~all state bits plus two one-hot grant outputs
   // and their decode minterms.
   e_grant_ = vdd2_4 * (tech.c_node * 5.0 * state_bits + 2.0 * tech.c_out);
-}
-
-double ArbiterFsmModel::energy(unsigned hd_req, bool handover) const {
-  return e_idle_ + e_req_ * hd_req + (handover ? e_grant_ : 0.0);
 }
 
 }  // namespace ahbp::power

@@ -147,8 +147,8 @@ PowerFsm::StepResult PowerFsm::step(const CycleView& v) {
   // (the paper's get_activity() called at every bus event) -- all nine
   // signals packed into one SoA word array, Hamming distances computed
   // in a single XOR+popcount pass.
-  std::uint64_t vals[kNumChannels];
-  unsigned hd[kNumChannels];
+  std::array<std::uint64_t, kNumChannels> vals;
+  std::array<unsigned, kNumChannels> hd;
   vals[kChHaddr] = v.haddr;
   vals[kChHcontrol] = (static_cast<std::uint64_t>(v.htrans) << 0) |
                       (static_cast<std::uint64_t>(v.hwrite) << 2) |

@@ -7,29 +7,6 @@ namespace ahbp::tlm {
 using sim::SimError;
 
 // ---------------------------------------------------------------------------
-// TlmMemory
-
-unsigned TlmMemory::read(std::uint32_t addr, std::uint32_t& data) {
-  const auto it = mem_.find(addr / 4);
-  data = it == mem_.end() ? 0 : it->second;
-  return waits_;
-}
-
-unsigned TlmMemory::write(std::uint32_t addr, std::uint32_t data) {
-  mem_[addr / 4] = data;
-  return waits_;
-}
-
-std::uint32_t TlmMemory::peek(std::uint32_t addr) const {
-  const auto it = mem_.find(addr / 4);
-  return it == mem_.end() ? 0 : it->second;
-}
-
-void TlmMemory::poke(std::uint32_t addr, std::uint32_t value) {
-  mem_[addr / 4] = value;
-}
-
-// ---------------------------------------------------------------------------
 // TlmBus
 
 TlmBus::TlmBus(Config cfg)

@@ -15,7 +15,6 @@
 #include <cstdint>
 #include <memory>
 #include <random>
-#include <unordered_map>
 #include <vector>
 
 #include "power/power_fsm.hpp"
@@ -32,20 +31,36 @@ public:
   virtual unsigned write(std::uint32_t addr, std::uint32_t data) = 0;
 };
 
-/// Sparse word memory with fixed wait states.
+/// Word memory with fixed wait states. Addresses are slave-relative
+/// byte offsets (TlmBus passes addr - base): storage is a dense word
+/// array that grows to the highest word written, so it stays as small
+/// as the mapped range. Unwritten words read 0.
 class TlmMemory final : public TlmSlave {
 public:
   explicit TlmMemory(unsigned wait_states = 0) : waits_(wait_states) {}
 
-  unsigned read(std::uint32_t addr, std::uint32_t& data) override;
-  unsigned write(std::uint32_t addr, std::uint32_t data) override;
+  unsigned read(std::uint32_t addr, std::uint32_t& data) override {
+    data = peek(addr);
+    return waits_;
+  }
+  unsigned write(std::uint32_t addr, std::uint32_t data) override {
+    poke(addr, data);
+    return waits_;
+  }
 
-  [[nodiscard]] std::uint32_t peek(std::uint32_t addr) const;
-  void poke(std::uint32_t addr, std::uint32_t value);
+  [[nodiscard]] std::uint32_t peek(std::uint32_t addr) const {
+    const std::size_t word = addr / 4;
+    return word < mem_.size() ? mem_[word] : 0;
+  }
+  void poke(std::uint32_t addr, std::uint32_t value) {
+    const std::size_t word = addr / 4;
+    if (word >= mem_.size()) mem_.resize(word + 1, 0);
+    mem_[word] = value;
+  }
 
 private:
   unsigned waits_;
-  std::unordered_map<std::uint32_t, std::uint32_t> mem_;
+  std::vector<std::uint32_t> mem_;
 };
 
 /// The function-call bus: address decode, cycle accounting, and the

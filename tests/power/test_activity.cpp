@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <bit>
+#include <random>
 #include <vector>
 
 #include "ahb/ahb.hpp"
@@ -15,6 +18,23 @@
 
 namespace ahbp::power {
 namespace {
+
+static_assert(popcount64(0) == 0 && popcount64(~0ull) == 64 &&
+                  popcount64(0x8000000000000001ull) == 2,
+              "popcount64 must be usable in constant expressions");
+
+TEST(Popcount64, MatchesStdPopcount) {
+  EXPECT_EQ(popcount64(0), 0u);
+  EXPECT_EQ(popcount64(~0ull), 64u);
+  for (unsigned b = 0; b < 64; ++b) {
+    EXPECT_EQ(popcount64(1ull << b), 1u) << "bit " << b;
+  }
+  std::mt19937_64 rng(12345);
+  for (int i = 0; i < 10000; ++i) {
+    const std::uint64_t x = rng();
+    ASSERT_EQ(popcount64(x), static_cast<unsigned>(std::popcount(x))) << std::hex << x;
+  }
+}
 
 TEST(Hamming, BasicProperties) {
   EXPECT_EQ(hamming(0, 0), 0u);
@@ -132,6 +152,48 @@ TEST(Activity, StoreRepeatedCountsZeroDistanceSamples) {
 TEST(Activity, StoreRepeatedNeedsAPreviousObservation) {
   Activity a({"x"});
   EXPECT_THROW(a.store_repeated(3), sim::SimError);
+}
+
+/// Every counter of every channel of `a` and `b` agrees.
+void expect_same_counters(const Activity& a, const Activity& b) {
+  ASSERT_EQ(a.size(), b.size());
+  EXPECT_EQ(a.sample_count(), b.sample_count());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a.bit_change_count(i), b.bit_change_count(i)) << a.name(i);
+    EXPECT_EQ(a.nonzero_count(i), b.nonzero_count(i)) << a.name(i);
+    EXPECT_EQ(a.last_value(i), b.last_value(i)) << a.name(i);
+  }
+}
+
+TEST(Activity, FixedCountPathMatchesStoreAll) {
+  constexpr std::size_t kN = 9;
+  const std::vector<std::string> names = {"c0", "c1", "c2", "c3", "c4",
+                                          "c5", "c6", "c7", "c8"};
+  for (const std::uint64_t seed : {1ull, 2ull, 3ull}) {
+    Activity fixed(names), dynamic(names);
+    std::mt19937_64 rng(seed);
+    for (int step = 0; step < 500; ++step) {
+      std::array<std::uint64_t, kN> vals{};
+      for (std::uint64_t& v : vals) {
+        // Mix repeats, narrow fields and full words, as bus views do.
+        const std::uint64_t r = rng();
+        v = r % 4 == 0 ? 0 : (r % 4 == 1 ? r & 0xFF : r);
+      }
+      if (step % 50 == 49) {
+        fixed.store_repeated(step % 7);
+        dynamic.store_repeated(step % 7);
+      }
+      std::array<unsigned, kN> hd_fixed{}, hd_dynamic{};
+      fixed.store_all(vals, hd_fixed);
+      dynamic.store_all(vals.data(), hd_dynamic.data());
+      ASSERT_EQ(hd_fixed, hd_dynamic) << "seed " << seed << " step " << step;
+      if (step == 0) {  // the first sample counts nothing on either path
+        EXPECT_EQ(hd_fixed, (std::array<unsigned, kN>{}));
+        EXPECT_EQ(fixed.bit_change_count(), 0u);
+      }
+    }
+    expect_same_counters(fixed, dynamic);
+  }
 }
 
 // -- goldens: a fixed-seed run of the paper testbench -----------------------

@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <random>
+#include <vector>
+
 #include "ahb/ahb.hpp"
 #include "power/power.hpp"
 #include "sim/sim.hpp"
@@ -22,6 +25,55 @@ TEST(TlmMemory, ReadWritePeekPoke) {
   EXPECT_EQ(v, 0xABCDu);
   mem.poke(0x20, 7);
   EXPECT_EQ(mem.peek(0x20), 7u);
+}
+
+TEST(TlmMemory, UnwrittenWordsReadZero) {
+  TlmMemory mem;
+  mem.poke(0x40, 0x1234);
+  std::uint32_t v = 1;
+  mem.read(0x3C, v);  // below the highest written word
+  EXPECT_EQ(v, 0u);
+  v = 1;
+  mem.read(0x44, v);  // past it
+  EXPECT_EQ(v, 0u);
+  EXPECT_EQ(mem.peek(0x0), 0u);
+  EXPECT_EQ(mem.peek(0x1000), 0u);
+  EXPECT_EQ(mem.peek(0x40), 0x1234u);
+}
+
+TEST(TlmMemory, LastWordOfMappedRange) {
+  TlmBus bus({});
+  TlmMemory a, b;
+  bus.map(a, 0x0000, 0x1000);
+  bus.map(b, 0x1000, 0x1000);
+  a.poke(0xFFC, 0xA5A5A5A5);
+  EXPECT_EQ(a.peek(0xFFC), 0xA5A5A5A5u);
+  std::uint32_t v = 0;
+  ASSERT_TRUE(bus.read(0, 0x0FFC, v));
+  EXPECT_EQ(v, 0xA5A5A5A5u);
+  ASSERT_TRUE(bus.write(1, 0x1FFC, 0x5A5A5A5A));
+  EXPECT_EQ(b.peek(0xFFC), 0x5A5A5A5Au);  // slave-relative offset
+  EXPECT_EQ(b.peek(0x0), 0u);
+}
+
+TEST(TlmMemory, WriteReadRoundTripsThroughBus) {
+  TlmBus bus({});
+  TlmMemory a;
+  bus.map(a, 0x2000, 0x1000);
+  std::mt19937_64 rng(7);
+  std::vector<std::uint32_t> expected(0x1000 / 4, 0);
+  for (int i = 0; i < 2000; ++i) {
+    const std::uint32_t word = static_cast<std::uint32_t>(rng() % expected.size());
+    const auto value = static_cast<std::uint32_t>(rng());
+    ASSERT_TRUE(bus.write(0, 0x2000 + 4 * word, value));
+    expected[word] = value;
+  }
+  for (std::uint32_t word = 0; word < expected.size(); ++word) {
+    std::uint32_t v = 1;
+    ASSERT_TRUE(bus.read(0, 0x2000 + 4 * word, v));
+    EXPECT_EQ(v, expected[word]) << "word " << word;
+  }
+  EXPECT_EQ(bus.errors(), 0u);
 }
 
 TEST(TlmMemory, WaitStatesReported) {
