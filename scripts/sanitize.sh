@@ -11,7 +11,8 @@
 #       campaign pool (including process isolation and concurrent
 #       journal appends), the kernel stress tests and the live
 #       observability layer (metrics scrapes racing writers, the event
-#       log, the status server, the progress tracker). Binaries are
+#       log, the status server, the progress tracker, two threads
+#       committing one AtomicFile path). Binaries are
 #       invoked directly rather than through ctest so the run covers
 #       whole suites regardless of how gtest_discover_tests named the
 #       individual cases.
@@ -34,12 +35,13 @@ if [ "$MODE" = "tsan" ]; then
                test_campaign_journal test_campaign_isolation \
                test_sim_kernel_stress test_telemetry_metrics_concurrency \
                test_telemetry_events test_telemetry_status_server \
-               test_campaign_progress
+               test_campaign_progress test_telemetry_atomic_file
   # halt_on_error: a data-race report fails the suite immediately.
   for suite in test_sim_kernel_threads test_campaign test_campaign_journal \
                test_campaign_isolation test_sim_kernel_stress \
                test_telemetry_metrics_concurrency test_telemetry_events \
-               test_telemetry_status_server test_campaign_progress; do
+               test_telemetry_status_server test_campaign_progress \
+               test_telemetry_atomic_file; do
     TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}" \
         "$BUILD_DIR/tests/$suite"
   done

@@ -2,19 +2,19 @@
 
 #include <algorithm>
 #include <ostream>
-#include <sstream>
 
 #include "telemetry/atomic_file.hpp"
 #include "telemetry/exporters.hpp"
 
 namespace ahbp::campaign {
 
-using telemetry::json_escape;
-using telemetry::json_number;
+using telemetry::append;
+using telemetry::JsonEscaped;
 
-void write_campaign_json(std::ostream& os,
-                         const std::vector<RunOutcome>& outcomes,
-                         const CampaignReportMeta& meta) {
+namespace {
+
+std::string campaign_json(const std::vector<RunOutcome>& outcomes,
+                          const CampaignReportMeta& meta) {
   std::size_t failed = 0;
   double sum = 0.0;
   double min_e = 0.0;
@@ -36,51 +36,49 @@ void write_campaign_json(std::ostream& os,
     sum += e;
   }
 
-  os << "{\n";
-  os << "  \"schema\": \"ahbpower.campaign.v4\",\n";
-  os << "  \"name\": \"" << json_escape(meta.name) << "\",\n";
-  os << "  \"cycles\": " << meta.cycles << ",\n";
-  os << "  \"threads\": " << meta.threads << ",\n";
-  os << "  \"runs\": [";
+  std::string out;
+  out.reserve(512 + outcomes.size() * 512);
+  append(out, "{\n  \"schema\": \"ahbpower.campaign.v4\",\n  \"name\": \"",
+         JsonEscaped{meta.name}, "\",\n  \"cycles\": ", meta.cycles,
+         ",\n  \"threads\": ", meta.threads, ",\n  \"runs\": [");
   for (std::size_t i = 0; i < outcomes.size(); ++i) {
     const RunOutcome& o = outcomes[i];
-    os << (i == 0 ? "\n" : ",\n");
-    os << "    {\"index\": " << o.index << ", \"name\": \""
-       << json_escape(o.name) << "\", \"ok\": " << (o.status == RunStatus::kOk ? "true" : "false")
-       << ", \"status\": \"" << to_string(o.status) << '"';
+    append(out, i == 0 ? "\n" : ",\n", "    {\"index\": ", o.index,
+           ", \"name\": \"", JsonEscaped{o.name}, "\", \"ok\": ",
+           o.status == RunStatus::kOk ? "true" : "false", ", \"status\": \"",
+           to_string(o.status), '"');
     if (o.status != RunStatus::kOk) {
-      os << ", \"error\": \"" << json_escape(o.error) << "\"}";
+      append(out, ", \"error\": \"", JsonEscaped{o.error}, "\"}");
       continue;
     }
     const PowerReport& r = o.report;
-    os << ", \"cycles\": " << r.cycles << ", \"transfers\": " << r.transfers
-       << ", \"total_energy_j\": " << json_number(r.total_energy)
-       << ", \"blocks_j\": {\"arb\": " << json_number(r.blocks.arb)
-       << ", \"dec\": " << json_number(r.blocks.dec)
-       << ", \"m2s\": " << json_number(r.blocks.m2s)
-       << ", \"s2m\": " << json_number(r.blocks.s2m) << "}";
+    append(out, ", \"cycles\": ", r.cycles, ", \"transfers\": ", r.transfers,
+           ", \"total_energy_j\": ", r.total_energy,
+           ", \"blocks_j\": {\"arb\": ", r.blocks.arb,
+           ", \"dec\": ", r.blocks.dec, ", \"m2s\": ", r.blocks.m2s,
+           ", \"s2m\": ", r.blocks.s2m, '}');
     if (!r.attribution.empty()) {
       // v2 addition: per-master transaction attribution. v1 consumers
       // that ignore unknown keys keep working; all v1 fields remain.
-      os << ", \"attribution\": {\"bus_energy_j\": "
-         << json_number(r.bus_energy_j) << ", \"masters\": [";
+      append(out, ", \"attribution\": {\"bus_energy_j\": ", r.bus_energy_j,
+             ", \"masters\": [");
       for (std::size_t m = 0; m < r.attribution.size(); ++m) {
-        if (m != 0) os << ", ";
-        os << "{\"energy_j\": " << json_number(r.attribution[m].energy_j)
-           << ", \"txns\": " << r.attribution[m].txns << "}";
+        if (m != 0) out += ", ";
+        append(out, "{\"energy_j\": ", r.attribution[m].energy_j,
+               ", \"txns\": ", r.attribution[m].txns, '}');
       }
-      os << "]}";
+      out += "]}";
     }
-    os << ", \"metrics\": {";
+    out += ", \"metrics\": {";
     bool first = true;
     for (const auto& [key, value] : r.metrics) {
-      if (!first) os << ", ";
-      os << '"' << json_escape(key) << "\": " << json_number(value);
+      if (!first) out += ", ";
+      append(out, '"', JsonEscaped{key}, "\": ", value);
       first = false;
     }
-    os << "}}";
+    out += "}}";
   }
-  os << "\n  ],\n";
+  out += "\n  ],\n";
   if (failed != 0) {
     // Degraded block: only present when something went wrong, so a
     // fully successful campaign report stays byte-identical across
@@ -103,40 +101,42 @@ void write_campaign_json(std::ostream& os,
         default: ++n_failed; break;
       }
     }
-    os << "  \"degraded\": {\"count\": " << failed
-       << ", \"failed\": " << n_failed
-       << ", \"timed_out\": " << n_timed_out
-       << ", \"cancelled\": " << n_cancelled
-       << ", \"crashed\": " << n_crashed
-       << ", \"resumed\": " << n_resumed << ", \"runs\": [";
+    append(out, "  \"degraded\": {\"count\": ", failed,
+           ", \"failed\": ", n_failed, ", \"timed_out\": ", n_timed_out,
+           ", \"cancelled\": ", n_cancelled, ", \"crashed\": ", n_crashed,
+           ", \"resumed\": ", n_resumed, ", \"runs\": [");
     bool first = true;
     for (const RunOutcome& o : outcomes) {
       if (o.status == RunStatus::kOk) continue;
-      os << (first ? "\n" : ",\n");
+      append(out, first ? "\n" : ",\n", "    {\"index\": ", o.index,
+             ", \"name\": \"", JsonEscaped{o.name}, "\", \"status\": \"",
+             to_string(o.status), "\", \"signal\": ", o.term_signal,
+             ", \"wall_seconds\": ", o.wall_seconds,
+             ", \"attempts\": ", o.attempts, ", \"error\": \"",
+             JsonEscaped{o.error}, "\"}");
       first = false;
-      os << "    {\"index\": " << o.index << ", \"name\": \""
-         << json_escape(o.name) << "\", \"status\": \"" << to_string(o.status)
-         << "\", \"signal\": " << o.term_signal
-         << ", \"wall_seconds\": " << json_number(o.wall_seconds)
-         << ", \"attempts\": " << o.attempts << ", \"error\": \""
-         << json_escape(o.error) << "\"}";
     }
-    os << "\n  ]},\n";
+    out += "\n  ]},\n";
   }
-  os << "  \"aggregate\": {\"runs\": " << outcomes.size()
-     << ", \"failed\": " << failed
-     << ", \"total_energy_j\": " << json_number(sum)
-     << ", \"min_energy_j\": " << json_number(min_e)
-     << ", \"max_energy_j\": " << json_number(max_e) << "}\n";
-  os << "}\n";
+  append(out, "  \"aggregate\": {\"runs\": ", outcomes.size(),
+         ", \"failed\": ", failed, ", \"total_energy_j\": ", sum,
+         ", \"min_energy_j\": ", min_e, ", \"max_energy_j\": ", max_e,
+         "}\n}\n");
+  return out;
+}
+
+}  // namespace
+
+void write_campaign_json(std::ostream& os,
+                         const std::vector<RunOutcome>& outcomes,
+                         const CampaignReportMeta& meta) {
+  os << campaign_json(outcomes, meta);
 }
 
 void write_campaign_json_file(const std::filesystem::path& path,
                               const std::vector<RunOutcome>& outcomes,
                               const CampaignReportMeta& meta) {
-  telemetry::AtomicFile file(path);
-  write_campaign_json(file.stream(), outcomes, meta);
-  file.commit();
+  telemetry::AtomicFile::publish(path, campaign_json(outcomes, meta));
 }
 
 }  // namespace ahbp::campaign

@@ -1,6 +1,8 @@
 #include "telemetry/atomic_file.hpp"
 
+#include <atomic>
 #include <cerrno>
+#include <cstdint>
 #include <cstring>
 #include <stdexcept>
 #include <system_error>
@@ -56,9 +58,14 @@ bool AtomicFile::write(const std::filesystem::path& path,
     }
   }
   // Same-directory temp file (rename(2) is only atomic within a
-  // filesystem); pid-suffixed so concurrent writers never collide.
+  // filesystem). The suffix is unique per call -- pid plus a
+  // process-wide counter -- so concurrent writers of one path, in other
+  // processes or on other threads of this one, never share a temp file;
+  // the last rename wins whole.
+  static std::atomic<std::uint64_t> next_tmp{0};
   const std::filesystem::path tmp =
-      path.string() + ".tmp." + std::to_string(::getpid());
+      path.string() + ".tmp." + std::to_string(::getpid()) + "." +
+      std::to_string(next_tmp.fetch_add(1, std::memory_order_relaxed));
   const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
   if (fd < 0) {
     if (error) *error = errno_text("open", tmp);
@@ -81,12 +88,17 @@ bool AtomicFile::write(const std::filesystem::path& path,
   return true;
 }
 
-void AtomicFile::commit() {
-  if (committed_) throw std::runtime_error("AtomicFile: double commit");
+void AtomicFile::publish(const std::filesystem::path& path,
+                         std::string_view contents) {
   std::string error;
-  if (!write(path_, buf_.view(), &error)) {
+  if (!write(path, contents, &error)) {
     throw std::runtime_error("AtomicFile: " + error);
   }
+}
+
+void AtomicFile::commit() {
+  if (committed_) throw std::runtime_error("AtomicFile: double commit");
+  publish(path_, buf_.view());
   committed_ = true;
 }
 

@@ -87,21 +87,22 @@ std::string_view Event::str(std::string_view key,
 }
 
 std::string Event::render() const {
-  std::string out = "{\"seq\": " + std::to_string(seq) +
-                    ", \"t_mono_us\": " + std::to_string(t_mono_us) +
-                    ", \"t_wall_us\": " + std::to_string(t_wall_us) +
-                    ", \"type\": \"" + json_escape(type) + "\"";
+  std::string out;
+  out.reserve(96 + type.size() + 32 * fields.size());
+  append(out, "{\"seq\": ", seq, ", \"t_mono_us\": ", t_mono_us,
+         ", \"t_wall_us\": ", t_wall_us, ", \"type\": \"", JsonEscaped{type},
+         '"');
   for (const EventField& f : fields) {
-    out += ", \"" + json_escape(f.key) + "\": ";
+    append(out, ", \"", JsonEscaped{f.key}, "\": ");
     switch (f.kind) {
       case EventField::Kind::kString:
-        out += "\"" + json_escape(f.str) + "\"";
+        append(out, '"', JsonEscaped{f.str}, '"');
         break;
-      case EventField::Kind::kU64: out += std::to_string(f.u64); break;
-      case EventField::Kind::kF64: out += json_number(f.f64); break;
+      case EventField::Kind::kU64: append(out, f.u64); break;
+      case EventField::Kind::kF64: append(out, f.f64); break;
     }
   }
-  out += "}";
+  out += '}';
   return out;
 }
 

@@ -11,6 +11,8 @@
 // checked in CI by tools/telemetry_validate against
 // tools/telemetry_schema.json.
 
+#include <charconv>
+#include <concepts>
 #include <cstdint>
 #include <filesystem>
 #include <iosfwd>
@@ -24,15 +26,59 @@
 
 namespace ahbp::telemetry {
 
-/// @name JSON rendering primitives (shared by all JSON emitters)
+/// @name Text rendering primitives (shared by every emitter)
+/// Emitters build each output in one std::string through append() and
+/// the append_* primitives under it; json_escape / json_number return
+/// the same renderings as a fresh string.
 ///@{
+/// Appends `s` escaped for use inside JSON double quotes.
+void append_json_escaped(std::string& out, std::string_view s);
+/// Appends a finite double as the shortest "%.*g" rendering that parses
+/// back to the same value ("1.5", "0.1", "1e-12"); integral values
+/// within the exact-double range render without a fraction. Non-finite
+/// values render as 0 (JSON has no inf/nan).
+void append_json_number(std::string& out, double v);
+/// Appends an integer's decimal digits.
+template <std::integral T>
+void append_int(std::string& out, T v) {
+  char buf[24];
+  const char* const end = std::to_chars(buf, buf + sizeof buf, v).ptr;
+  out.append(buf, static_cast<std::size_t>(end - buf));
+}
 /// Escapes a string for use inside JSON double quotes.
 [[nodiscard]] std::string json_escape(std::string_view s);
-/// Renders a finite double as the shortest decimal that parses back to
-/// the same value ("1.5", "0.1", "1e-12"); integral values within the
-/// exact-double range render without a fraction. Non-finite values
-/// render as 0 (JSON has no inf/nan).
+/// append_json_number's rendering as a string.
 [[nodiscard]] std::string json_number(double v);
+
+/// A string to append as escaped JSON string content (no quotes added).
+struct JsonEscaped {
+  std::string_view s;
+};
+
+namespace detail {
+inline void append_part(std::string& out, std::string_view s) { out += s; }
+inline void append_part(std::string& out, char c) { out += c; }
+inline void append_part(std::string& out, double v) {
+  append_json_number(out, v);
+}
+inline void append_part(std::string& out, JsonEscaped e) {
+  append_json_escaped(out, e.s);
+}
+template <std::integral T>
+  requires(!std::same_as<T, char> && !std::same_as<T, bool>)
+void append_part(std::string& out, T v) {
+  append_int(out, v);
+}
+}  // namespace detail
+
+/// Appends each part in order: text and chars as they are, integers as
+/// decimal digits, doubles as append_json_number renders them and
+/// JsonEscaped strings escaped. The emitters' one formatting path:
+///   append(out, "{\"id\": ", r.id, ", \"energy_j\": ", r.energy_j, '}');
+template <class... Parts>
+void append(std::string& out, const Parts&... parts) {
+  (detail::append_part(out, parts), ...);
+}
 ///@}
 
 /// Conversion context shared by the exporters: how long one series tick
@@ -90,6 +136,10 @@ private:
   std::vector<TraceEvent> events_;
 };
 
+/// @name Stream writers
+/// Each renders its whole output into one buffer and writes it to `os`
+/// in a single call.
+///@{
 /// Writes a window series as CSV. Track values are treated as energies
 /// in joules; columns are
 ///   window,start_tick,ticks,t_start_us,e_<track>_j...,e_total_j,p_total_w
@@ -123,12 +173,13 @@ void write_metrics_json(std::ostream& os, const MetricsRegistry& registry);
 /// series. Deterministic; safe to call while other threads update the
 /// metrics (this is the GET /metrics render path).
 void write_prometheus_text(std::ostream& os, const MetricsRegistry& registry);
+///@}
 
 /// @name Crash-safe file variants
 /// Identical output to the stream writers above, but committed through
-/// AtomicFile (atomic_file.hpp): a crash mid-export can never leave a
-/// truncated artifact on disk. All throw std::runtime_error on I/O
-/// failure.
+/// AtomicFile::publish (atomic_file.hpp): a crash mid-export can never
+/// leave a truncated artifact on disk. All throw std::runtime_error on
+/// I/O failure.
 ///@{
 void write_window_csv_file(const std::filesystem::path& path,
                            const WindowSeries& series, const ExportMeta& meta);

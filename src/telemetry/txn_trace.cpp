@@ -32,19 +32,73 @@ std::size_t kind_index(TxnKind k) {
   return i < kKindNames.size() ? i : static_cast<std::size_t>(TxnKind::kUnknown);
 }
 
+/// Room for one rendered record as a CSV row and as a JSON object; used
+/// to size output buffers up front (estimates, not limits).
+constexpr std::size_t kCsvRowBytes = 128;
+constexpr std::size_t kJsonRecordBytes = 384;
+
 /// One record as a compact JSON object (shared by write_txn_json).
-void write_record(std::ostream& os, const TxnRecord& r) {
-  os << "{\"id\": " << r.id << ", \"master\": " << r.master
-     << ", \"slave\": " << r.slave << ", \"kind\": \"" << to_string(r.kind)
-     << "\", \"write\": " << (r.write ? "true" : "false")
-     << ", \"req_tick\": " << r.req_tick << ", \"start_tick\": " << r.start_tick
-     << ", \"end_tick\": " << r.end_tick << ", \"arb_cycles\": " << r.arb_cycles
-     << ", \"addr_cycles\": " << r.addr_cycles
-     << ", \"data_beats\": " << r.data_beats
-     << ", \"wait_cycles\": " << r.wait_cycles
-     << ", \"busy_cycles\": " << r.busy_cycles << ", \"retries\": " << r.retries
-     << ", \"splits\": " << r.splits << ", \"errors\": " << r.errors
-     << ", \"energy_j\": " << json_number(r.energy_j) << "}";
+void append_record(std::string& out, const TxnRecord& r) {
+  append(out, "{\"id\": ", r.id, ", \"master\": ", r.master,
+         ", \"slave\": ", r.slave, ", \"kind\": \"", to_string(r.kind),
+         r.write ? "\", \"write\": true" : "\", \"write\": false",
+         ", \"req_tick\": ", r.req_tick, ", \"start_tick\": ", r.start_tick,
+         ", \"end_tick\": ", r.end_tick, ", \"arb_cycles\": ", r.arb_cycles,
+         ", \"addr_cycles\": ", r.addr_cycles,
+         ", \"data_beats\": ", r.data_beats,
+         ", \"wait_cycles\": ", r.wait_cycles,
+         ", \"busy_cycles\": ", r.busy_cycles, ", \"retries\": ", r.retries,
+         ", \"splits\": ", r.splits, ", \"errors\": ", r.errors,
+         ", \"energy_j\": ", r.energy_j, '}');
+}
+
+std::string txn_csv(const TxnTraceLog& log) {
+  std::string out;
+  out.reserve(256 + log.size() * kCsvRowBytes);
+  out +=
+      "txn,master,slave,kind,write,req_tick,start_tick,end_tick,"
+      "arb_cycles,addr_cycles,data_beats,wait_cycles,busy_cycles,"
+      "retries,splits,errors,energy_j\n";
+  for (const TxnRecord& r : log.records()) {
+    append(out, r.id, ',', r.master, ',', r.slave, ',', to_string(r.kind),
+           r.write ? ",W," : ",R,", r.req_tick, ',', r.start_tick, ',',
+           r.end_tick, ',', r.arb_cycles, ',', r.addr_cycles, ',',
+           r.data_beats, ',', r.wait_cycles, ',', r.busy_cycles, ',',
+           r.retries, ',', r.splits, ',', r.errors, ',', r.energy_j, '\n');
+  }
+  return out;
+}
+
+std::string txn_json(const TxnTraceLog& log, const TxnSummary& summary,
+                     const ExportMeta& meta) {
+  std::string out;
+  out.reserve(256 +
+              (summary.master_energy_j.size() + summary.slave_energy_j.size()) *
+                  64 +
+              log.size() * kJsonRecordBytes);
+  append(out, "{\n  \"schema\": \"ahbpower.txns.v1\",\n  \"tick_ns\": ",
+         meta.tick_ns, ",\n  \"total_energy_j\": ", summary.total_energy_j,
+         ",\n  \"bus_energy_j\": ", summary.bus_energy_j,
+         ",\n  \"masters\": [");
+  for (std::size_t m = 0; m < summary.master_energy_j.size(); ++m) {
+    if (m != 0) out += ", ";
+    const std::uint64_t txns =
+        m < summary.master_txns.size() ? summary.master_txns[m] : 0;
+    append(out, "{\"energy_j\": ", summary.master_energy_j[m],
+           ", \"txns\": ", txns, '}');
+  }
+  out += "],\n  \"slaves\": [";
+  for (std::size_t s = 0; s < summary.slave_energy_j.size(); ++s) {
+    if (s != 0) out += ", ";
+    append(out, "{\"energy_j\": ", summary.slave_energy_j[s], '}');
+  }
+  out += "],\n  \"txns\": [";
+  for (std::size_t i = 0; i < log.records().size(); ++i) {
+    out += i == 0 ? "\n    " : ",\n    ";
+    append_record(out, log.records()[i]);
+  }
+  out += "\n  ]\n}\n";
+  return out;
 }
 
 }  // namespace
@@ -56,61 +110,22 @@ std::string_view txn_span_name(TxnKind k, bool write) {
 }
 
 void write_txn_csv(std::ostream& os, const TxnTraceLog& log) {
-  os << "txn,master,slave,kind,write,req_tick,start_tick,end_tick,"
-        "arb_cycles,addr_cycles,data_beats,wait_cycles,busy_cycles,"
-        "retries,splits,errors,energy_j\n";
-  for (const TxnRecord& r : log.records()) {
-    os << r.id << ',' << r.master << ',' << r.slave << ','
-       << to_string(r.kind) << ','
-       << (r.write ? 'W' : 'R') << ',' << r.req_tick << ',' << r.start_tick
-       << ',' << r.end_tick << ',' << r.arb_cycles << ',' << r.addr_cycles
-       << ',' << r.data_beats << ',' << r.wait_cycles << ',' << r.busy_cycles
-       << ',' << r.retries << ',' << r.splits << ',' << r.errors << ','
-       << json_number(r.energy_j) << '\n';
-  }
+  os << txn_csv(log);
 }
 
 void write_txn_json(std::ostream& os, const TxnTraceLog& log,
                     const TxnSummary& summary, const ExportMeta& meta) {
-  os << "{\n";
-  os << "  \"schema\": \"ahbpower.txns.v1\",\n";
-  os << "  \"tick_ns\": " << json_number(meta.tick_ns) << ",\n";
-  os << "  \"total_energy_j\": " << json_number(summary.total_energy_j)
-     << ",\n";
-  os << "  \"bus_energy_j\": " << json_number(summary.bus_energy_j) << ",\n";
-  os << "  \"masters\": [";
-  for (std::size_t m = 0; m < summary.master_energy_j.size(); ++m) {
-    if (m != 0) os << ", ";
-    const std::uint64_t txns =
-        m < summary.master_txns.size() ? summary.master_txns[m] : 0;
-    os << "{\"energy_j\": " << json_number(summary.master_energy_j[m])
-       << ", \"txns\": " << txns << "}";
-  }
-  os << "],\n";
-  os << "  \"slaves\": [";
-  for (std::size_t s = 0; s < summary.slave_energy_j.size(); ++s) {
-    if (s != 0) os << ", ";
-    os << "{\"energy_j\": " << json_number(summary.slave_energy_j[s]) << "}";
-  }
-  os << "],\n";
-  os << "  \"txns\": [";
-  for (std::size_t i = 0; i < log.records().size(); ++i) {
-    os << (i == 0 ? "\n    " : ",\n    ");
-    write_record(os, log.records()[i]);
-  }
-  os << "\n  ]\n}\n";
+  os << txn_json(log, summary, meta);
 }
 
 void append_txn_spans(TraceEventLog& spans, const TxnRecord& r) {
   const int tid = txn_track_tid(r.master);
   const std::uint64_t dur =
       r.end_tick > r.req_tick ? r.end_tick - r.req_tick : 1;
-  std::string args = "{\"txn\": " + std::to_string(r.id) +
-                     ", \"slave\": " + std::to_string(r.slave) +
-                     ", \"beats\": " + std::to_string(r.data_beats) +
-                     ", \"waits\": " + std::to_string(r.wait_cycles) +
-                     ", \"retries\": " + std::to_string(r.retries) +
-                     ", \"energy_j\": " + json_number(r.energy_j) + "}";
+  std::string args;
+  append(args, "{\"txn\": ", r.id, ", \"slave\": ", r.slave,
+         ", \"beats\": ", r.data_beats, ", \"waits\": ", r.wait_cycles,
+         ", \"retries\": ", r.retries, ", \"energy_j\": ", r.energy_j, '}');
   spans.add_complete(txn_span_name(r.kind, r.write), "txn", r.req_tick, dur,
                      tid, std::move(args));
   if (r.start_tick > r.req_tick) {
@@ -125,17 +140,13 @@ void append_txn_spans(TraceEventLog& spans, const TxnRecord& r) {
 
 void write_txn_csv_file(const std::filesystem::path& path,
                         const TxnTraceLog& log) {
-  AtomicFile file(path);
-  write_txn_csv(file.stream(), log);
-  file.commit();
+  AtomicFile::publish(path, txn_csv(log));
 }
 
 void write_txn_json_file(const std::filesystem::path& path,
                          const TxnTraceLog& log, const TxnSummary& summary,
                          const ExportMeta& meta) {
-  AtomicFile file(path);
-  write_txn_json(file.stream(), log, summary, meta);
-  file.commit();
+  AtomicFile::publish(path, txn_json(log, summary, meta));
 }
 
 }  // namespace ahbp::telemetry

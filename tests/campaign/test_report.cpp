@@ -117,6 +117,68 @@ TEST(CampaignReport, CapturesFailures) {
   EXPECT_NE(json.find("\"attempts\": 1"), std::string::npos);
 }
 
+TEST(CampaignReport, DegradedBlockMatchesGolden) {
+  std::vector<RunOutcome> outcomes(3);
+  outcomes[0].index = 0;
+  outcomes[0].name = "ok";
+  outcomes[0].status = RunStatus::kOk;
+  outcomes[0].report.total_energy = 1.5;
+  outcomes[0].report.cycles = 100;
+  outcomes[0].report.transfers = 42;
+  outcomes[0].report.blocks.arb = 0.5;
+  outcomes[0].report.blocks.dec = 0.25;
+  outcomes[0].report.blocks.m2s = 0.5;
+  outcomes[0].report.blocks.s2m = 0.25;
+  outcomes[0].wall_seconds = 0.5;
+  outcomes[0].attempts = 1;
+  outcomes[0].resumed = true;
+  outcomes[1].index = 1;
+  outcomes[1].name = "bad";
+  outcomes[1].status = RunStatus::kFailed;
+  outcomes[1].error = "spec[1] bad: deliberate \"boom\"";
+  outcomes[1].wall_seconds = 0.125;
+  outcomes[1].attempts = 2;
+  outcomes[2].index = 2;
+  outcomes[2].name = "slow";
+  outcomes[2].status = RunStatus::kTimedOut;
+  outcomes[2].error = "spec[2] slow: budget exceeded";
+  outcomes[2].wall_seconds = 2.75;
+  outcomes[2].attempts = 1;
+  std::ostringstream os;
+  write_campaign_json(
+      os, outcomes,
+      CampaignReportMeta{.name = "deg", .cycles = 100, .threads = 2});
+  EXPECT_EQ(
+      os.str(),
+      "{\n"
+      "  \"schema\": \"ahbpower.campaign.v4\",\n"
+      "  \"name\": \"deg\",\n"
+      "  \"cycles\": 100,\n"
+      "  \"threads\": 2,\n"
+      "  \"runs\": [\n"
+      "    {\"index\": 0, \"name\": \"ok\", \"ok\": true, \"status\": "
+      "\"ok\", \"cycles\": 100, \"transfers\": 42, \"total_energy_j\": 1.5, "
+      "\"blocks_j\": {\"arb\": 0.5, \"dec\": 0.25, \"m2s\": 0.5, \"s2m\": "
+      "0.25}, \"metrics\": {}},\n"
+      "    {\"index\": 1, \"name\": \"bad\", \"ok\": false, \"status\": "
+      "\"failed\", \"error\": \"spec[1] bad: deliberate \\\"boom\\\"\"},\n"
+      "    {\"index\": 2, \"name\": \"slow\", \"ok\": false, \"status\": "
+      "\"timed_out\", \"error\": \"spec[2] slow: budget exceeded\"}\n"
+      "  ],\n"
+      "  \"degraded\": {\"count\": 2, \"failed\": 1, \"timed_out\": 1, "
+      "\"cancelled\": 0, \"crashed\": 0, \"resumed\": 1, \"runs\": [\n"
+      "    {\"index\": 1, \"name\": \"bad\", \"status\": \"failed\", "
+      "\"signal\": 0, \"wall_seconds\": 0.125, \"attempts\": 2, \"error\": "
+      "\"spec[1] bad: deliberate \\\"boom\\\"\"},\n"
+      "    {\"index\": 2, \"name\": \"slow\", \"status\": \"timed_out\", "
+      "\"signal\": 0, \"wall_seconds\": 2.75, \"attempts\": 1, \"error\": "
+      "\"spec[2] slow: budget exceeded\"}\n"
+      "  ]},\n"
+      "  \"aggregate\": {\"runs\": 3, \"failed\": 2, \"total_energy_j\": "
+      "1.5, \"min_energy_j\": 1.5, \"max_energy_j\": 1.5}\n"
+      "}\n");
+}
+
 TEST(CampaignReport, NoDegradedBlockWhenAllRunsSucceed) {
   const Campaign pool(Campaign::Config{.threads = 1});
   const std::string json = render(pool.run({synthetic_spec("a", 1.0)}), 1);

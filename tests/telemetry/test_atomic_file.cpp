@@ -5,9 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <barrier>
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <thread>
 
 namespace ahbp::telemetry {
 namespace {
@@ -101,6 +104,41 @@ TEST_F(AtomicFileTest, FailureReportsErrorAndLeavesNoArtifact) {
   AtomicFile f(target);
   f.stream() << "content";
   EXPECT_THROW(f.commit(), std::runtime_error);
+}
+
+TEST_F(AtomicFileTest, ConcurrentWritersOfOnePathBothSucceed) {
+  // Two threads of one process publish the same path at once, round
+  // after round. Each stages its own temp file, so both commits succeed
+  // and the file always holds one writer's bytes whole.
+  const fs::path target = dir_ / "shared.json";
+  constexpr int kRounds = 200;
+  const std::array<std::string, 2> payloads = {std::string(1 << 20, 'a'),
+                                               std::string(1 << 20, 'b')};
+  std::barrier start(2);
+  std::array<int, 2> failures{};
+  std::array<std::string, 2> first_error;
+  int torn = 0;  // read and written by writer 0 only
+  auto writer = [&](std::size_t w) {
+    for (int round = 0; round < kRounds; ++round) {
+      start.arrive_and_wait();
+      std::string error;
+      if (!AtomicFile::write(target, payloads[w], &error)) {
+        if (failures[w]++ == 0) first_error[w] = error;
+      }
+      start.arrive_and_wait();
+      if (w == 0) {
+        const std::string now = slurp(target);
+        if (now != payloads[0] && now != payloads[1]) ++torn;
+      }
+    }
+  };
+  std::thread other(writer, 1);
+  writer(0);
+  other.join();
+  EXPECT_EQ(failures[0], 0) << first_error[0];
+  EXPECT_EQ(failures[1], 0) << first_error[1];
+  EXPECT_EQ(torn, 0);
+  EXPECT_EQ(extra_entries(target), 0u);  // no *.tmp.* left behind
 }
 
 }  // namespace

@@ -76,6 +76,21 @@ TEST(Event, RenderEscapesHostileStrings) {
   for (const char c : line) EXPECT_GE(static_cast<unsigned char>(c), 0x20);
 }
 
+TEST(Event, RenderMatchesGolden) {
+  Event ev;
+  ev.seq = 7;
+  ev.t_mono_us = 123456;
+  ev.t_wall_us = 1700000000123456ull;
+  ev.type = "run_finish";
+  ev.fields = {field_u64("run", 3), field_str("status", "timed \"out\"\n"),
+               field_f64("wall_seconds", 0.1), field_f64("energy_j", 7.61e-10)};
+  EXPECT_EQ(ev.render(),
+            "{\"seq\": 7, \"t_mono_us\": 123456, \"t_wall_us\": "
+            "1700000000123456, \"type\": \"run_finish\", \"run\": 3, "
+            "\"status\": \"timed \\\"out\\\"\\n\", \"wall_seconds\": 0.1, "
+            "\"energy_j\": 7.61e-10}");
+}
+
 TEST(EventLog, RenderSinceTailsTheLog) {
   EventLog log;
   log.emit("a");
