@@ -3,14 +3,18 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <exception>
 #include <mutex>
+#include <optional>
 #include <stdexcept>
+#include <string_view>
 #include <thread>
 #include <vector>
 
 #include <poll.h>
 #include <signal.h>
+#include <sys/socket.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -68,7 +72,7 @@ RunStatus attempt(const RunSpec& spec, std::size_t i, RunOutcome& out) {
 /// Executes spec `i` into its pre-allocated outcome slot. Runs on a
 /// pool thread (or inside a forked worker); everything it touches is
 /// private to the slot. `events` narrates the in-process retry (null in
-/// forked children -- the parent owns the log).
+/// forked workers -- the parent owns the log).
 void execute(const RunSpec& spec, std::size_t i, RunOutcome& out,
              bool retry_transient, telemetry::EventLog* events) {
   out.index = i;
@@ -183,148 +187,198 @@ class JournalSink {
 
 // --- process isolation ------------------------------------------------------
 
-/// One live forked worker and its result pipe.
-struct ChildProc {
+/// The 12-byte header in front of every frame on a worker's socket (see
+/// frame_payload): payload length and FNV-1a checksum.
+struct FrameHeader {
+  std::uint32_t len = 0;
+  std::uint64_t checksum = 0;
+};
+
+/// Decodes the frame header at the front of `buf`; nullopt until all 12
+/// header bytes have arrived.
+std::optional<FrameHeader> frame_header(std::string_view buf) {
+  if (buf.size() < 12) return std::nullopt;
+  FrameHeader h;
+  for (int i = 0; i < 4; ++i) {
+    h.len |= static_cast<std::uint32_t>(static_cast<unsigned char>(buf[i]))
+             << (8 * i);
+  }
+  for (int i = 0; i < 8; ++i) {
+    h.checksum |=
+        static_cast<std::uint64_t>(static_cast<unsigned char>(buf[4 + i]))
+        << (8 * i);
+  }
+  return h;
+}
+
+/// A heartbeat is an empty-payload frame. A result frame always has a
+/// nonzero payload, so len == 0 plus the empty-string checksum
+/// identifies a heartbeat unambiguously.
+bool is_heartbeat(const FrameHeader& h) {
+  static const std::uint64_t empty_checksum = fnv1a64(std::string_view{});
+  return h.len == 0 && h.checksum == empty_checksum;
+}
+
+/// Writes all of `bytes` to socket `fd`. MSG_NOSIGNAL turns a write to a
+/// dead peer into a false return instead of a SIGPIPE.
+bool send_all(int fd, std::string_view bytes) {
+  while (!bytes.empty()) {
+    const ssize_t n = ::send(fd, bytes.data(), bytes.size(), MSG_NOSIGNAL);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      return false;
+    }
+    bytes.remove_prefix(static_cast<std::size_t>(n));
+  }
+  return true;
+}
+
+/// Reads the next 8-byte spec index; false on EOF (the parent retired
+/// this worker) or error.
+bool recv_index(int fd, std::uint64_t& index) {
+  auto* bytes = reinterpret_cast<char*>(&index);
+  std::size_t got = 0;
+  while (got < sizeof index) {
+    const ssize_t n = ::read(fd, bytes + got, sizeof index - got);
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) return false;
+    got += static_cast<std::size_t>(n);
+  }
+  return true;
+}
+
+/// The body of a forked worker: receives spec indices on `fd`, executes
+/// each with the campaign's run budget installed and answers each with
+/// one framed outcome. EOF on `fd` retires it; it then _exits without
+/// running atexit handlers (the parent's buffered state must not be
+/// flushed twice).
+///
+/// While a spec runs, a beater thread writes one empty-payload frame per
+/// heartbeat interval -- the liveness signal behind stalled-worker
+/// diagnosis. SIGSTOP (or a genuine wedge) freezes the whole worker,
+/// beater included, so silence really does mean "not making progress".
+/// One mutex guards the busy flag and every write on `fd`, so a beat
+/// never interleaves with a result frame and never follows one.
+[[noreturn]] void worker_main(int fd, const std::vector<RunSpec>& specs,
+                              const Campaign::Config& cfg) {
+  std::mutex mutex;
+  std::condition_variable wake;
+  bool busy = false;
+  bool quit = false;
+  std::thread beater;
+  if (cfg.heartbeat_interval_seconds > 0.0) {
+    const auto interval = std::chrono::duration_cast<Clock::duration>(
+        std::chrono::duration<double>(cfg.heartbeat_interval_seconds));
+    beater = std::thread([&, interval] {
+      const std::string beat = frame_payload(std::string_view{});
+      std::unique_lock<std::mutex> lock(mutex);
+      for (;;) {
+        wake.wait(lock, [&] { return busy || quit; });
+        if (quit) return;
+        // A spec that ends within the interval earns no beat.
+        if (wake.wait_for(lock, interval, [&] { return !busy || quit; })) {
+          continue;
+        }
+        if (!send_all(fd, beat)) return;  // parent went away
+      }
+    });
+  }
+  {
+    ThreadDefaultsGuard guard(cfg.run_budget, nullptr);
+    std::uint64_t i = 0;
+    while (recv_index(fd, i) && i < specs.size()) {
+      {
+        const std::lock_guard<std::mutex> lock(mutex);
+        busy = true;
+      }
+      wake.notify_one();
+      RunOutcome out;
+      execute(specs[i], i, out, cfg.retry_transient, nullptr);
+      const std::string frame = frame_payload(encode_outcome(out));
+      bool sent = false;
+      {
+        const std::lock_guard<std::mutex> lock(mutex);
+        busy = false;
+        sent = send_all(fd, frame);
+      }
+      wake.notify_one();
+      if (!sent) break;
+    }
+  }
+  {
+    const std::lock_guard<std::mutex> lock(mutex);
+    quit = true;
+  }
+  wake.notify_one();
+  if (beater.joinable()) beater.join();
+  ::_exit(0);
+}
+
+/// One persistent worker process as the parent sees it.
+struct WorkerProc {
   pid_t pid = -1;
-  int fd = -1;  ///< read end of the result pipe
-  std::size_t index = 0;
+  int fd = -1;             ///< parent end of the worker's socketpair
+  bool busy = false;       ///< a spec is in flight
+  std::size_t index = 0;   ///< the spec in flight (valid while busy)
   Clock::time_point start{};
-  std::string buf;       ///< frame bytes received so far
-  unsigned spawns = 1;   ///< process-level attempts (crash respawn)
+  std::string buf;         ///< frame bytes received so far
+  unsigned spawns = 1;     ///< process-level attempts at `index`
   bool killed_timeout = false;
   bool killed_cancel = false;
 };
 
-/// Decodes the child's framed RunOutcome. Returns false when the frame
-/// is incomplete or fails its checksum -- the child died mid-write.
-bool parse_result_frame(const std::string& buf, RunOutcome& out) {
-  if (buf.size() < 12) return false;
-  std::uint32_t len = 0;
-  for (int i = 0; i < 4; ++i) {
-    len |= static_cast<std::uint32_t>(static_cast<unsigned char>(buf[i]))
-           << (8 * i);
-  }
-  std::uint64_t checksum = 0;
-  for (int i = 0; i < 8; ++i) {
-    checksum |=
-        static_cast<std::uint64_t>(static_cast<unsigned char>(buf[4 + i]))
-        << (8 * i);
-  }
-  if (buf.size() != 12u + len) return false;
-  const std::string_view payload(buf.data() + 12, len);
-  if (fnv1a64(payload) != checksum) return false;
-  return decode_outcome(payload, out);
-}
-
-/// Removes leading heartbeat frames (empty-payload frames, 12 bytes
-/// each) from a child's receive buffer so parse_result_frame only ever
-/// sees the result frame. Returns how many heartbeats were consumed.
-/// A result frame always has a nonzero payload, so len == 0 plus the
-/// empty-string checksum identifies a heartbeat unambiguously.
-std::size_t strip_heartbeats(std::string& buf) {
-  const std::uint64_t empty_checksum = fnv1a64(std::string_view{});
-  std::size_t stripped = 0;
-  while (buf.size() >= 12) {
-    std::uint32_t len = 0;
-    for (int i = 0; i < 4; ++i) {
-      len |= static_cast<std::uint32_t>(static_cast<unsigned char>(buf[i]))
-             << (8 * i);
-    }
-    if (len != 0) break;
-    std::uint64_t checksum = 0;
-    for (int i = 0; i < 8; ++i) {
-      checksum |=
-          static_cast<std::uint64_t>(static_cast<unsigned char>(buf[4 + i]))
-          << (8 * i);
-    }
-    if (checksum != empty_checksum) break;  // torn garbage, not a beat
-    buf.erase(0, 12);
-    ++stripped;
-  }
-  return stripped;
-}
-
-/// Forks one worker for spec `i`. The child executes the spec with the
-/// campaign's run budget installed, streams its framed outcome through
-/// the pipe and _exits without running atexit handlers (the parent's
-/// buffered state must not be flushed twice).
-///
-/// While the spec runs, a child-side heartbeat thread writes one
-/// empty-payload frame per `heartbeat_interval` onto the pipe -- the
-/// liveness signal behind stalled-worker diagnosis. SIGSTOP (or a
-/// genuine wedge) freezes the whole child including that thread, so
-/// silence really does mean "not making progress". The thread is
-/// joined before the result frame is written: heartbeats and the
-/// result never interleave, and each 12-byte beat is well under
-/// PIPE_BUF so beats are atomic on the wire.
-ChildProc spawn_worker(const RunSpec& spec, std::size_t i,
-                       const sim::RunBudget& budget, bool retry_transient,
-                       double heartbeat_interval) {
-  int fds[2];
-  if (::pipe(fds) != 0) {
-    throw std::runtime_error("campaign: pipe() failed");
+/// Forks one worker from the calling thread. The child first closes the
+/// parent end of every other live worker's socket: a sibling holding
+/// one open would keep that worker from ever seeing EOF on retirement.
+WorkerProc spawn_worker(const std::vector<WorkerProc>& live,
+                        const std::vector<RunSpec>& specs,
+                        const Campaign::Config& cfg) {
+  int sv[2] = {-1, -1};
+  if (::socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0, sv) != 0) {
+    throw std::runtime_error("campaign: socketpair() failed");
   }
   const pid_t pid = ::fork();
   if (pid < 0) {
-    ::close(fds[0]);
-    ::close(fds[1]);
+    ::close(sv[0]);
+    ::close(sv[1]);
     throw std::runtime_error("campaign: fork() failed");
   }
   if (pid == 0) {
-    ::close(fds[0]);
-    RunOutcome out;
-    std::atomic<bool> run_done{false};
-    std::thread beater;
-    if (heartbeat_interval > 0.0) {
-      const int pipe_fd = fds[1];
-      beater = std::thread([&run_done, pipe_fd, heartbeat_interval] {
-        const std::string beat = frame_payload(std::string_view{});
-        const auto interval = std::chrono::duration_cast<Clock::duration>(
-            std::chrono::duration<double>(heartbeat_interval));
-        auto next_beat = Clock::now() + interval;
-        while (!run_done.load(std::memory_order_acquire)) {
-          // Short sleep slices so join() after the run is prompt.
-          std::this_thread::sleep_for(std::chrono::milliseconds(5));
-          if (Clock::now() < next_beat) continue;
-          next_beat = Clock::now() + interval;
-          std::string_view rest = beat;
-          while (!rest.empty()) {
-            const ssize_t n = ::write(pipe_fd, rest.data(), rest.size());
-            if (n < 0) {
-              if (errno == EINTR) continue;
-              return;  // parent went away; nobody is listening
-            }
-            rest.remove_prefix(static_cast<std::size_t>(n));
-          }
-        }
-      });
-    }
-    {
-      ThreadDefaultsGuard guard(budget, nullptr);
-      execute(spec, i, out, retry_transient, nullptr);
-    }
-    run_done.store(true, std::memory_order_release);
-    if (beater.joinable()) beater.join();
-    const std::string frame = frame_payload(encode_outcome(out));
-    std::string_view rest = frame;
-    while (!rest.empty()) {
-      const ssize_t n = ::write(fds[1], rest.data(), rest.size());
-      if (n < 0) {
-        if (errno == EINTR) continue;
-        ::_exit(1);
-      }
-      rest.remove_prefix(static_cast<std::size_t>(n));
-    }
-    ::_exit(0);
+    ::close(sv[0]);
+    for (const WorkerProc& w : live) ::close(w.fd);
+    worker_main(sv[1], specs, cfg);
   }
-  ::close(fds[1]);
-  ChildProc child;
-  child.pid = pid;
-  child.fd = fds[0];
-  child.index = i;
-  child.start = Clock::now();
-  return child;
+  ::close(sv[1]);
+  WorkerProc w;
+  w.pid = pid;
+  w.fd = sv[0];
+  return w;
 }
+
+/// Waits for `pid` to exit; returns its wait status.
+int reap(pid_t pid) {
+  int status = 0;
+  while (::waitpid(pid, &status, 0) < 0 && errno == EINTR) {
+  }
+  return status;
+}
+
+/// The live workers of one run_process_pool call. Whatever is still
+/// live when it goes out of scope (only on an exception) is killed and
+/// reaped, so no path out of Campaign::run leaves a zombie.
+struct LiveWorkers {
+  std::vector<WorkerProc> procs;
+  LiveWorkers() = default;
+  LiveWorkers(const LiveWorkers&) = delete;
+  LiveWorkers& operator=(const LiveWorkers&) = delete;
+  ~LiveWorkers() {
+    for (const WorkerProc& w : procs) {
+      ::close(w.fd);
+      ::kill(w.pid, SIGKILL);
+      (void)reap(w.pid);
+    }
+  }
+};
 
 void run_process_pool(const Campaign::Config& cfg, unsigned threads,
                       const std::vector<RunSpec>& specs,
@@ -520,74 +574,82 @@ std::vector<RunOutcome> Campaign::run(const std::vector<RunSpec>& specs,
 
 namespace {
 
-/// The kProcess scheduler: forks up to `threads` concurrently live
-/// workers *from the calling thread only* and reaps them through their
-/// result pipes. No pool threads exist in this mode, so fork() never
-/// races a multithreaded parent.
+/// The kProcess scheduler. Forks up to `threads` persistent workers
+/// *from the calling thread only* (this mode has no pool threads), hands
+/// each idle worker the next unclaimed spec index, and reads results
+/// and heartbeats off the workers' sockets. A worker that dies -- crash,
+/// wall-budget or cancel kill -- is reaped, its spec classified, and
+/// later specs go to a replacement. Once nothing is left to claim, idle
+/// workers are retired (socket closed, process reaped), so every worker
+/// is reaped before this returns.
 void run_process_pool(const Campaign::Config& cfg, unsigned threads,
                       const std::vector<RunSpec>& specs,
                       std::vector<RunOutcome>& outcomes,
                       const std::vector<char>& restored, JournalSink& journal,
                       const std::function<bool()>& cancel_requested,
                       telemetry::EventLog* events, ProgressTracker* progress) {
-  const unsigned n_workers =
-      static_cast<unsigned>(std::min<std::size_t>(threads, specs.size()));
-  std::vector<ChildProc> active;
-  active.reserve(n_workers);
+  LiveWorkers live;
+  std::vector<WorkerProc>& workers = live.procs;
   std::size_t next = 0;
+  const auto claim = [&](std::size_t& i) {
+    while (next < specs.size() && restored[next]) ++next;
+    if (next >= specs.size()) return false;
+    i = next++;
+    return true;
+  };
 
-  // Finishes one child: reap it, classify the ending, fill the slot.
-  // Returns false when the child should be respawned instead (transient
-  // crash salvage).
-  auto finalize = [&](ChildProc& child) -> bool {
-    int status = 0;
-    while (::waitpid(child.pid, &status, 0) < 0 && errno == EINTR) {
-    }
-    ::close(child.fd);
-    const double wall =
-        std::chrono::duration<double>(Clock::now() - child.start).count();
-    RunOutcome& out = outcomes[child.index];
-    const RunSpec& spec = specs[child.index];
+  // Hands spec `i` to an idle worker. A worker that died idle fails the
+  // send; its EOF then ends spec `i` like any other worker death.
+  const auto dispatch = [&](WorkerProc& w, std::size_t i, unsigned spawns) {
+    w.busy = true;
+    w.index = i;
+    w.spawns = spawns;
+    w.start = Clock::now();
+    const std::uint64_t wire = i;
+    (void)send_all(w.fd, {reinterpret_cast<const char*>(&wire), sizeof wire});
+  };
+  const auto emit_with_worker = [&](const char* type, const WorkerProc& w) {
+    if (events == nullptr) return;
+    events->emit(type,
+                 {field_u64("run", w.index),
+                  field_str("name", specs[w.index].name),
+                  field_u64("worker", static_cast<std::uint64_t>(w.pid))});
+  };
 
-    RunOutcome received;
-    const bool got_result = WIFEXITED(status) && WEXITSTATUS(status) == 0 &&
-                            parse_result_frame(child.buf, received);
-    if (got_result && !child.killed_cancel) {
-      out = std::move(received);
-      // The child measured its own wall time; surface the spawn count
-      // so a salvaged transient crash is visible in `attempts`.
-      out.attempts += child.spawns - 1;
-      journal.record(out);
-      return true;
-    }
-    out.index = child.index;
+  // Classifies the spec of a worker that died while busy. Returns false
+  // when the spec should be respawned instead (transient crash salvage).
+  const auto finalize = [&](const WorkerProc& w, int status) -> bool {
+    RunOutcome& out = outcomes[w.index];
+    const RunSpec& spec = specs[w.index];
+    out.index = w.index;
     out.name = spec.name;
-    out.wall_seconds = wall;
-    out.attempts = child.spawns;
-    if (child.killed_cancel) {
+    out.wall_seconds =
+        std::chrono::duration<double>(Clock::now() - w.start).count();
+    out.attempts = w.spawns;
+    if (w.killed_cancel) {
       out.status = RunStatus::kCancelled;
-      out.error = "spec[" + std::to_string(child.index) + "] " + spec.name +
+      out.error = "spec[" + std::to_string(w.index) + "] " + spec.name +
                   ": cancelled (campaign abort killed the worker)";
       return true;  // never journaled (kCancelled), never respawned
     }
-    if (child.killed_timeout) {
+    if (w.killed_timeout) {
       out.status = RunStatus::kTimedOut;
-      out.error = "spec[" + std::to_string(child.index) + "] " + spec.name +
+      out.error = "spec[" + std::to_string(w.index) + "] " + spec.name +
                   ": exceeded the per-run wall budget; worker killed";
       journal.record(out);
       return true;
     }
-    // Hard death: signal, nonzero exit, or a torn result frame.
+    // Hard death: signal, or an exit before the result frame was whole.
     const int sig = WIFSIGNALED(status) ? WTERMSIG(status) : 0;
-    if (cfg.retry_transient && child.spawns == 1) return false;
+    if (cfg.retry_transient && w.spawns == 1) return false;
     out.status = RunStatus::kCrashed;
     out.term_signal = sig;
     if (sig != 0) {
-      out.error = "spec[" + std::to_string(child.index) + "] " + spec.name +
+      out.error = "spec[" + std::to_string(w.index) + "] " + spec.name +
                   ": worker crashed with signal " + std::to_string(sig) +
                   " (" + signal_name(sig) + ")";
     } else {
-      out.error = "spec[" + std::to_string(child.index) + "] " + spec.name +
+      out.error = "spec[" + std::to_string(w.index) + "] " + spec.name +
                   ": worker exited without a result (exit status " +
                   std::to_string(WIFEXITED(status) ? WEXITSTATUS(status)
                                                    : -1) +
@@ -597,105 +659,133 @@ void run_process_pool(const Campaign::Config& cfg, unsigned threads,
     return true;
   };
 
-  while (next < specs.size() || !active.empty()) {
-    const bool cancelled = cancel_requested();
-
-    // Claim and spawn until the worker slots are full.
-    while (!cancelled && active.size() < n_workers && next < specs.size()) {
-      const std::size_t i = next++;
-      if (restored[i]) continue;
-      active.push_back(spawn_worker(specs[i], i, cfg.run_budget,
-                                    cfg.retry_transient,
-                                    cfg.heartbeat_interval_seconds));
-      if (events != nullptr) {
-        events->emit(
-            "run_start",
-            {field_u64("run", i), field_str("name", specs[i].name),
-             field_u64("worker",
-                       static_cast<std::uint64_t>(active.back().pid))});
+  // Peels complete frames off a worker's receive buffer. Heartbeats are
+  // liveness for the tracker; a result frame completes the worker's
+  // spec. Completeness comes from the length prefix: EOF only ever
+  // means the worker died.
+  const auto drain_frames = [&](WorkerProc& w) {
+    while (const std::optional<FrameHeader> h = frame_header(w.buf)) {
+      if (is_heartbeat(*h)) {
+        w.buf.erase(0, 12);
+        if (progress != nullptr) progress->heartbeat(static_cast<long>(w.pid));
+        continue;
       }
+      if (w.buf.size() < 12u + h->len) return;
+      RunOutcome received;
+      const std::string_view payload(w.buf.data() + 12, h->len);
+      const bool valid = fnv1a64(payload) == h->checksum &&
+                         decode_outcome(payload, received);
+      w.buf.erase(0, 12u + h->len);
+      // A killed worker's ending is decided by the kill, not by a
+      // result that raced it.
+      if (!w.busy || w.killed_timeout || w.killed_cancel) continue;
+      if (!valid) {
+        // Only a corrupted worker sends a bad frame; its stream cannot
+        // be trusted any further, so it dies and is classified at EOF.
+        ::kill(w.pid, SIGKILL);
+        continue;
+      }
+      RunOutcome& out = outcomes[w.index];
+      out = std::move(received);
+      // The worker measured its own wall time; surface the spawn count
+      // so a salvaged transient crash is visible in `attempts`.
+      out.attempts += w.spawns - 1;
+      journal.record(out);
+      w.busy = false;
+      emit_run_finish(events, out);
     }
-    if (cancelled) {
-      while (next < specs.size()) {
-        const std::size_t i = next++;
-        if (restored[i]) continue;
+  };
+
+  std::vector<pollfd> fds;
+  for (;;) {
+    if (cancel_requested()) {
+      for (std::size_t i = 0; claim(i);) {
         mark_unstarted(specs[i], i, outcomes[i]);
         emit_run_finish(events, outcomes[i]);
       }
-      for (ChildProc& child : active) {
-        if (!child.killed_cancel) {
-          child.killed_cancel = true;
-          ::kill(child.pid, SIGKILL);
+      for (WorkerProc& w : workers) {
+        if (w.busy && !w.killed_cancel) {
+          w.killed_cancel = true;
+          ::kill(w.pid, SIGKILL);
         }
       }
     }
-    if (active.empty()) continue;
+
+    // Idle workers take the next specs; a new worker is forked only
+    // while the pool is below its size and work remains.
+    std::size_t i = 0;
+    for (WorkerProc& w : workers) {
+      if (w.busy || !claim(i)) continue;
+      dispatch(w, i, 1);
+      emit_with_worker("run_start", w);
+    }
+    while (workers.size() < threads && claim(i)) {
+      workers.push_back(spawn_worker(workers, specs, cfg));
+      dispatch(workers.back(), i, 1);
+      emit_with_worker("run_start", workers.back());
+    }
+    // A worker still idle here found nothing to claim: retire it.
+    // Closing its socket is its EOF; it exits and is reaped at once.
+    for (std::size_t k = workers.size(); k-- > 0;) {
+      if (workers[k].busy) continue;
+      ::close(workers[k].fd);
+      (void)reap(workers[k].pid);
+      workers.erase(workers.begin() + static_cast<std::ptrdiff_t>(k));
+    }
+    if (workers.empty()) return;
 
     // Per-run wall budget: the parent enforces it with SIGKILL, which
     // is what makes even a hung (non-cooperative) worker a kTimedOut
     // outcome instead of a stuck campaign.
     if (cfg.run_budget.max_wall_seconds > 0.0) {
-      for (ChildProc& child : active) {
-        if (child.killed_timeout || child.killed_cancel) continue;
+      for (WorkerProc& w : workers) {
+        if (w.killed_timeout || w.killed_cancel) continue;
         const double elapsed =
-            std::chrono::duration<double>(Clock::now() - child.start).count();
+            std::chrono::duration<double>(Clock::now() - w.start).count();
         if (elapsed > cfg.run_budget.max_wall_seconds) {
-          child.killed_timeout = true;
-          ::kill(child.pid, SIGKILL);
+          w.killed_timeout = true;
+          ::kill(w.pid, SIGKILL);
           if (events != nullptr) {
             events->emit(
                 "watchdog_trip",
-                {field_u64("run", child.index),
-                 field_u64("worker", static_cast<std::uint64_t>(child.pid)),
+                {field_u64("run", w.index),
+                 field_u64("worker", static_cast<std::uint64_t>(w.pid)),
                  field_f64("wall_seconds", elapsed)});
           }
         }
       }
     }
 
-    std::vector<pollfd> fds;
-    fds.reserve(active.size());
-    for (const ChildProc& child : active) {
-      fds.push_back(pollfd{child.fd, POLLIN, 0});
-    }
+    fds.clear();
+    for (const WorkerProc& w : workers) fds.push_back(pollfd{w.fd, POLLIN, 0});
     const int n_ready = ::poll(fds.data(), fds.size(), 20);
     if (n_ready <= 0) continue;  // timeout / EINTR: re-check budgets
 
-    for (std::size_t k = active.size(); k-- > 0;) {
+    // Downward, so erasing worker k leaves fds[0..k) lined up; a
+    // replacement is appended past every index still to visit.
+    for (std::size_t k = workers.size(); k-- > 0;) {
       if ((fds[k].revents & (POLLIN | POLLHUP | POLLERR)) == 0) continue;
       char chunk[4096];
-      const ssize_t n = ::read(active[k].fd, chunk, sizeof chunk);
+      const ssize_t n = ::read(workers[k].fd, chunk, sizeof chunk);
       if (n > 0) {
-        active[k].buf.append(chunk, static_cast<std::size_t>(n));
-        // Heartbeat frames are liveness, not payload: peel them off so
-        // parse_result_frame sees exactly the result frame. Any bytes
-        // arriving at all also prove the child is alive.
-        strip_heartbeats(active[k].buf);
-        if (progress != nullptr) {
-          progress->heartbeat(static_cast<long>(active[k].pid));
-        }
+        workers[k].buf.append(chunk, static_cast<std::size_t>(n));
+        drain_frames(workers[k]);
         continue;
       }
       if (n < 0 && (errno == EINTR || errno == EAGAIN)) continue;
-      // EOF: the child is done (or dead). Finalize or respawn.
-      ChildProc child = std::move(active[k]);
-      active.erase(active.begin() + static_cast<std::ptrdiff_t>(k));
-      if (!finalize(child)) {
-        ChildProc again = spawn_worker(specs[child.index], child.index,
-                                       cfg.run_budget, cfg.retry_transient,
-                                       cfg.heartbeat_interval_seconds);
-        again.spawns = child.spawns + 1;
-        if (events != nullptr) {
-          events->emit(
-              "run_retry",
-              {field_u64("run", child.index),
-               field_str("name", specs[child.index].name),
-               field_u64("worker", static_cast<std::uint64_t>(again.pid))});
-        }
-        active.push_back(std::move(again));
-      } else {
-        emit_run_finish(events, outcomes[child.index]);
+      // EOF: the worker died.
+      const WorkerProc dead = std::move(workers[k]);
+      workers.erase(workers.begin() + static_cast<std::ptrdiff_t>(k));
+      ::close(dead.fd);
+      const int status = reap(dead.pid);
+      if (!dead.busy) continue;  // the next pass forks a replacement
+      if (finalize(dead, status)) {
+        emit_run_finish(events, outcomes[dead.index]);
+        continue;
       }
+      workers.push_back(spawn_worker(workers, specs, cfg));
+      dispatch(workers.back(), dead.index, dead.spawns + 1);
+      emit_with_worker("run_retry", workers.back());
     }
   }
 }

@@ -108,13 +108,20 @@ enum class Isolation : std::uint8_t {
   /// In-process, on a pool thread (fastest; a hard crash kills the
   /// whole campaign).
   kThread,
-  /// In a forked child process per run: the child serializes its
-  /// RunOutcome over a pipe, so a SIGSEGV / abort / OOM-kill becomes a
+  /// In persistent forked worker processes: each run() forks up to
+  /// `threads` workers, each serving spec after spec and returning each
+  /// RunOutcome over a socket, so a SIGSEGV / abort / OOM-kill becomes a
   /// kCrashed outcome with the signal recorded instead of sinking the
-  /// sweep. Healthy outcomes round-trip bit-identically (raw IEEE-754
-  /// bits on the wire). Children are forked from the calling thread
-  /// only -- never from pool threads -- so the usual fork-in-
-  /// multithreaded-process hazards are avoided.
+  /// sweep; the dead worker is replaced for later specs. Healthy
+  /// outcomes round-trip bit-identically (raw IEEE-754 bits on the
+  /// wire). A worker serves many specs, so process-global state a spec
+  /// writes is visible to later specs on that worker, as under kThread.
+  /// Workers are forked from the calling thread only (never from pool
+  /// threads), `threads` times per run() plus once per replacement.
+  /// That alone does not make fork safe: threads the caller runs
+  /// meanwhile (the CLI's status server and --progress printer) are
+  /// absent in the workers, and a lock one of them held at fork time
+  /// stays held there, so specs must not take locks those threads use.
   kProcess,
 };
 
@@ -147,7 +154,8 @@ public:
     /// failure -- salvages transient crashes; deterministic failures
     /// fail twice and are recorded with attempts = 2. Timed-out runs
     /// are never retried (they would exhaust the budget again). In
-    /// kProcess isolation a crashed worker is also respawned once.
+    /// kProcess isolation a spec whose worker crashed is also handed to
+    /// a fresh worker once.
     bool retry_transient = false;
     /// Crash containment mode (see Isolation).
     Isolation isolation = Isolation::kThread;
@@ -156,10 +164,11 @@ public:
     /// (kThread) or killed (kProcess) and unclaimed specs are marked
     /// kCancelled. Must outlive run().
     const std::atomic<bool>* cancel = nullptr;
-    /// kProcess only: how often each worker child writes a heartbeat
-    /// frame (an empty-payload journal frame) onto its result pipe so
-    /// the parent can tell a slow run from a hung worker. <= 0 disables
-    /// heartbeats (the pre-heartbeat wire format).
+    /// kProcess only: while a spec runs, how often its worker writes a
+    /// heartbeat frame (an empty-payload journal frame) onto its socket
+    /// so the parent can tell a slow run from a hung worker. Beats flow
+    /// for every spec a worker serves and stop while it is idle. <= 0
+    /// disables heartbeats (the pre-heartbeat wire format).
     double heartbeat_interval_seconds = 0.1;
   };
 

@@ -55,7 +55,7 @@ inline constexpr std::size_t kJournalHeaderBytes =
     kJournalSchema.size() + 1 + kJournalConfigPrefix.size() + 16 + 1;
 
 /// @name Outcome wire format (shared by the journal and the process-
-/// isolation result pipe)
+/// isolation worker sockets)
 ///@{
 /// Serializes one outcome; doubles as raw bits, strings length-prefixed.
 [[nodiscard]] std::string encode_outcome(const RunOutcome& out);

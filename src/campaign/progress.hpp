@@ -6,10 +6,10 @@
 // the data model behind GET /status, the CLI --progress line and the
 // stalled-shard diagnosis.
 //
-// Liveness semantics: in kProcess isolation every worker child writes a
-// heartbeat frame onto its result pipe a few times per second (see
-// campaign.hpp Config::heartbeat_interval_seconds); the parent reaper
-// forwards each arrival via heartbeat(pid). A worker whose heartbeat
+// Liveness semantics: in kProcess isolation every busy worker process
+// writes a heartbeat frame onto its socket a few times per second (see
+// campaign.hpp Config::heartbeat_interval_seconds); the parent forwards
+// each arrival via heartbeat(pid). A worker whose heartbeat
 // age exceeds Config::stall_after_seconds is *stalled* -- genuinely
 // wedged (SIGSTOP, livelock, swap death), as opposed to merely slow: a
 // slow run keeps heartbeating. The first time a worker trips the
@@ -88,8 +88,8 @@ public:
   /// deterministic replay (see tests/campaign/test_progress.cpp).
   void on_event(const telemetry::Event& ev);
 
-  /// Liveness signal for a worker process (heartbeat frame or result
-  /// bytes arriving on its pipe).
+  /// Liveness signal for a worker process (a heartbeat frame arriving on
+  /// its socket).
   void heartbeat(long worker_id);
 
   /// Snapshot at the current monotonic time.

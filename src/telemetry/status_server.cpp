@@ -201,6 +201,11 @@ void StatusServer::serve() {
     if (client < 0) continue;
     set_io_timeout(client, 2.0);
     handle(client);
+    // A process forked meanwhile (a campaign worker) holds a copy of
+    // `client`; close() alone would keep the connection open, and the
+    // client waiting for EOF, until that process exits. shutdown() ends
+    // it for every copy.
+    ::shutdown(client, SHUT_WR);
     ::close(client);
   }
 }

@@ -1,21 +1,26 @@
 // Process-isolated campaign workers: healthy runs bit-identical to
 // thread mode, hard crashes contained as kCrashed outcomes with the
-// signal recorded, wall budgets enforced by the parent, and transient
-// crashes salvaged by a respawn.
+// signal recorded, wall budgets enforced by the parent, transient
+// crashes salvaged by a respawn, and persistent workers reused across
+// specs, replaced when they die and all reaped before run() returns.
 
 #include <gtest/gtest.h>
 
+#include <cerrno>
 #include <csignal>
 #include <filesystem>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include "campaign/campaign.hpp"
 #include "campaign/report.hpp"
+#include "telemetry/events.hpp"
 
 namespace ahbp::campaign {
 namespace {
@@ -73,6 +78,30 @@ std::string render(const std::vector<RunOutcome>& outcomes) {
       os, outcomes,
       CampaignReportMeta{.name = "isolation", .cycles = 1000, .threads = 2});
   return os.str();
+}
+
+/// Distinct worker pids named by the run_start events in `log`.
+std::set<std::uint64_t> run_start_workers(const telemetry::EventLog& log) {
+  std::set<std::uint64_t> pids;
+  for (const telemetry::Event& ev : log.events_since(0)) {
+    if (ev.type == "run_start") pids.insert(ev.u64("worker"));
+  }
+  return pids;
+}
+
+/// run() reaps every worker it forked: no child is left, not even a
+/// zombie.
+void expect_no_children() {
+  int status = 0;
+  errno = 0;
+  EXPECT_EQ(::waitpid(-1, &status, WNOHANG), -1);
+  EXPECT_EQ(errno, ECHILD);
+}
+
+RunSpec hung_spec() {
+  return RunSpec{"hung", []() -> PowerReport {
+                   for (;;) ::usleep(10000);
+                 }};
 }
 
 TEST(Isolation, HealthyRunsBitIdenticalToThreadMode) {
@@ -145,9 +174,7 @@ TEST(Isolation, SegfaultIsContained) {
 TEST(Isolation, WallBudgetKillsHungWorker) {
   std::vector<RunSpec> specs;
   specs.push_back(synthetic_spec("quick", 1.0));
-  specs.push_back(RunSpec{"hung", []() -> PowerReport {
-                            for (;;) ::usleep(10000);
-                          }});
+  specs.push_back(hung_spec());
   Campaign::Config cfg;
   cfg.threads = 2;
   cfg.isolation = Isolation::kProcess;
@@ -205,6 +232,111 @@ TEST(Isolation, DeterministicCrashWithRetryStaysCrashed) {
   EXPECT_NE(outcomes[0].status, RunStatus::kOk);
   EXPECT_EQ(outcomes[0].status, RunStatus::kCrashed);
   EXPECT_EQ(outcomes[0].attempts, 2u);
+}
+
+TEST(Isolation, WorkersServeManySpecs) {
+  std::vector<RunSpec> specs;
+  for (int i = 0; i < 12; ++i) {
+    specs.push_back(
+        synthetic_spec("run" + std::to_string(i), 0.125 + 0.375 * i));
+  }
+  const Campaign threaded(
+      Campaign::Config{.threads = 2, .isolation = Isolation::kThread});
+  const Campaign forked(
+      Campaign::Config{.threads = 2, .isolation = Isolation::kProcess});
+  telemetry::EventLog log;
+  Campaign::RunOptions opts;
+  opts.events = &log;
+  const auto outcomes = forked.run(specs, opts);
+  expect_no_children();
+  for (const RunOutcome& o : outcomes) {
+    EXPECT_EQ(o.status, RunStatus::kOk) << o.error;
+  }
+  EXPECT_LE(run_start_workers(log).size(), 2u);
+  EXPECT_EQ(render(threaded.run(specs)), render(outcomes));
+}
+
+TEST(Isolation, IdleWorkerRetiresWhileSiblingIsBusy) {
+  // The first worker forked gets the quick spec and is retired while
+  // the second, forked after it, is still busy. Had the second kept a
+  // copy of the first's socket, the first would never see EOF and
+  // run() would hang reaping it.
+  std::vector<RunSpec> specs;
+  specs.push_back(synthetic_spec("quick", 1.0));
+  specs.push_back(RunSpec{"slow", [] {
+                            ::usleep(300000);
+                            PowerReport r;
+                            r.total_energy = 2.0;
+                            return r;
+                          }});
+  const Campaign pool(
+      Campaign::Config{.threads = 2, .isolation = Isolation::kProcess});
+  const auto outcomes = pool.run(specs);
+  expect_no_children();
+  EXPECT_EQ(outcomes[0].status, RunStatus::kOk) << outcomes[0].error;
+  EXPECT_EQ(outcomes[1].status, RunStatus::kOk) << outcomes[1].error;
+  EXPECT_EQ(outcomes[1].report.total_energy, 2.0);
+}
+
+TEST(Isolation, CrashedWorkerIsReplaced) {
+  std::vector<RunSpec> specs;
+  specs.push_back(synthetic_spec("before", 1.0));
+  specs.push_back(RunSpec{"killer", []() -> PowerReport {
+                            (void)::raise(SIGKILL);
+                            return {};
+                          }});
+  specs.push_back(synthetic_spec("after1", 2.0));
+  specs.push_back(synthetic_spec("after2", 3.0));
+  const Campaign pool(
+      Campaign::Config{.threads = 1, .isolation = Isolation::kProcess});
+  telemetry::EventLog log;
+  Campaign::RunOptions opts;
+  opts.events = &log;
+  const auto outcomes = pool.run(specs, opts);
+  expect_no_children();
+  // The first worker served "before" and died on "killer"; one
+  // replacement served both later specs.
+  EXPECT_EQ(run_start_workers(log).size(), 2u);
+  EXPECT_EQ(outcomes[0].status, RunStatus::kOk) << outcomes[0].error;
+  EXPECT_EQ(outcomes[1].status, RunStatus::kCrashed);
+  EXPECT_EQ(outcomes[1].term_signal, SIGKILL);
+  EXPECT_EQ(outcomes[2].status, RunStatus::kOk) << outcomes[2].error;
+  EXPECT_EQ(outcomes[3].status, RunStatus::kOk) << outcomes[3].error;
+  EXPECT_EQ(outcomes[3].report.total_energy, 3.0);
+}
+
+TEST(Isolation, TimedOutWorkerIsReplaced) {
+  std::vector<RunSpec> specs;
+  specs.push_back(hung_spec());
+  specs.push_back(synthetic_spec("quick1", 1.0));
+  specs.push_back(synthetic_spec("quick2", 2.0));
+  Campaign::Config cfg;
+  cfg.threads = 1;
+  cfg.isolation = Isolation::kProcess;
+  cfg.run_budget.max_wall_seconds = 0.2;
+  const Campaign pool(cfg);
+  const auto outcomes = pool.run(specs);
+  expect_no_children();
+  EXPECT_EQ(outcomes[0].status, RunStatus::kTimedOut);
+  EXPECT_EQ(outcomes[1].status, RunStatus::kOk) << outcomes[1].error;
+  EXPECT_EQ(outcomes[2].status, RunStatus::kOk) << outcomes[2].error;
+}
+
+TEST(Isolation, CampaignDeadlineKillsBusyWorkerAndReapsIt) {
+  std::vector<RunSpec> specs;
+  specs.push_back(hung_spec());
+  specs.push_back(synthetic_spec("never", 1.0));
+  Campaign::Config cfg;
+  cfg.threads = 1;
+  cfg.isolation = Isolation::kProcess;
+  cfg.campaign_wall_seconds = 0.2;
+  const Campaign pool(cfg);
+  const auto outcomes = pool.run(specs);
+  expect_no_children();
+  EXPECT_EQ(outcomes[0].status, RunStatus::kCancelled);
+  EXPECT_EQ(outcomes[0].attempts, 1u);
+  EXPECT_EQ(outcomes[1].status, RunStatus::kCancelled);
+  EXPECT_EQ(outcomes[1].attempts, 0u);  // never started
 }
 
 }  // namespace

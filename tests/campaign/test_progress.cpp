@@ -1,15 +1,18 @@
 // Unit tests for the ProgressTracker: deterministic throughput/ETA
 // arithmetic via snapshot_at(), stall diagnosis and the one-event-per-
 // episode contract, status_json rendering, and end-to-end agreement
-// between a real campaign's outcomes and its replayed event stream.
+// between a real campaign's outcomes and its replayed event stream, and
+// heartbeats from a process worker for every spec it serves.
 
 #include "campaign/progress.hpp"
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <map>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "campaign/campaign.hpp"
@@ -218,6 +221,70 @@ TEST(ProgressTracker, RealCampaignEventsReplayToOutcomeCounts) {
   EXPECT_EQ(finish->u64("ok"), 4u);
   EXPECT_EQ(finish->u64("failed"), 1u);
   EXPECT_EQ(finish->u64("crashed"), 0u);
+}
+
+/// Liveness of a run as the tracker saw it the moment the run finished.
+struct FinishAges {
+  double heartbeat_age_seconds = 0.0;
+  double age_seconds = 0.0;
+};
+
+/// Runs two ~0.4 s specs on one kProcess worker and reads the finishing
+/// run's ages on each run_finish. The reading listener is registered
+/// before the tracker's own, so the run is still in flight in the
+/// snapshot; listeners run on the calling thread, so no second thread
+/// is alive when the worker forks.
+std::vector<FinishAges> finish_ages(double heartbeat_interval_seconds) {
+  telemetry::EventLog log;
+  ProgressTracker tracker;
+  std::vector<FinishAges> ages;
+  log.add_listener([&](const Event& ev) {
+    if (ev.type != "run_finish") return;
+    for (const ProgressTracker::Worker& w : tracker.snapshot().workers) {
+      if (w.run == ev.u64("run")) {
+        ages.push_back({w.heartbeat_age_seconds, w.age_seconds});
+      }
+    }
+  });
+  tracker.attach(log);
+
+  std::vector<RunSpec> specs;
+  for (int i = 0; i < 2; ++i) {
+    specs.push_back({"slow_" + std::to_string(i), [] {
+                       std::this_thread::sleep_for(
+                           std::chrono::milliseconds(400));
+                       PowerReport r;
+                       r.cycles = 1;
+                       return r;
+                     }});
+  }
+  Campaign::Config cfg;
+  cfg.threads = 1;
+  cfg.isolation = Isolation::kProcess;
+  cfg.heartbeat_interval_seconds = heartbeat_interval_seconds;
+  Campaign::RunOptions opts;
+  opts.events = &log;
+  opts.progress = &tracker;
+  for (const RunOutcome& o : Campaign(cfg).run(specs, opts)) {
+    EXPECT_EQ(o.status, RunStatus::kOk) << o.error;
+  }
+  return ages;
+}
+
+TEST(ProgressTracker, HeartbeatsFlowForEverySpecAWorkerServes) {
+  const std::vector<FinishAges> beating = finish_ages(0.05);
+  ASSERT_EQ(beating.size(), 2u);
+  for (const FinishAges& a : beating) {
+    EXPECT_GT(a.age_seconds, 0.3);
+    EXPECT_LT(a.heartbeat_age_seconds, 0.15);
+  }
+  // Control: with heartbeats off nothing refreshes liveness, so the
+  // heartbeat age is the run's whole age and the check above would fail.
+  const std::vector<FinishAges> silent = finish_ages(0.0);
+  ASSERT_EQ(silent.size(), 2u);
+  for (const FinishAges& a : silent) {
+    EXPECT_GE(a.heartbeat_age_seconds, a.age_seconds);
+  }
 }
 
 }  // namespace

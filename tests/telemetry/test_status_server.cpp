@@ -1,14 +1,21 @@
 // Unit tests for the embedded HTTP status endpoint and its in-tree
 // client: route dispatch, ?after= tailing, error mapping (404/400/500),
-// ephemeral binding, bind-conflict reporting and clean shutdown.
+// ephemeral binding, bind-conflict reporting, clean shutdown, and
+// responses that end while a forked process holds the connection.
 
 #include "telemetry/status_server.hpp"
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <csignal>
 #include <memory>
 #include <stdexcept>
 #include <string>
+
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include "telemetry/events.hpp"
 
@@ -91,6 +98,37 @@ TEST(StatusServer, StopIsIdempotentAndRefusesAfter) {
   server.reset();
   // The socket is closed; the client reports a transport failure.
   EXPECT_EQ(http_get(port, "/status", 1.0).status, 0);
+}
+
+TEST(StatusServer, ResponseEndsWhileAForkedProcessHoldsTheConnection) {
+  // A process forked while a request is being served (a campaign
+  // worker) inherits the connection's descriptor. The client must see
+  // the response end when the server is done with it, not when that
+  // process exits.
+  std::atomic<pid_t> holder{-1};
+  StatusServer::Config cfg = test_config();
+  cfg.status_json = [&holder] {
+    const pid_t pid = ::fork();
+    if (pid == 0) {
+      ::sleep(3);
+      ::_exit(0);
+    }
+    holder.store(pid);
+    return std::string("{}");
+  };
+  StatusServer server(cfg);
+  const auto t0 = std::chrono::steady_clock::now();
+  const HttpResponse res = http_get(server.port(), "/status", 10.0);
+  const double seconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+          .count();
+  const pid_t pid = holder.load();
+  ASSERT_GT(pid, 0);
+  ::kill(pid, SIGKILL);
+  int wstatus = 0;
+  ::waitpid(pid, &wstatus, 0);
+  EXPECT_EQ(res.status, 200);
+  EXPECT_LT(seconds, 2.0);
 }
 
 TEST(StatusServer, ServesTheLiveEventLogTail) {

@@ -24,7 +24,7 @@
 //     --quiet           only the one-line summary
 //     --sweep           campaign mode: sweep policy x waits on a
 //                       multi-core pool, print one row per config
-//     --jobs N          worker threads for --sweep (0 = all cores)
+//     --jobs N          workers for --sweep (0 = all cores)
 //     --faults SEED     deterministic fault injection on every slave
 //                       (2% RETRY, 0.5% ERROR, 5% wait-state jitter per
 //                       transfer, scheduled by SEED); adds ahb.fault.*
@@ -33,7 +33,8 @@
 //                       exceeding it is aborted (status timed_out in
 //                       --sweep, exit code 3 otherwise)
 //     --isolation M     thread | process: where --sweep runs execute.
-//                       process forks one worker per run, so a SIGSEGV
+//                       process runs them in --jobs persistent forked
+//                       workers (a dead one is replaced), so a SIGSEGV
 //                       in one config becomes a "crashed" row instead
 //                       of killing the sweep
 //     --journal DIR     write-ahead journal for --sweep: every finished
