@@ -1,0 +1,108 @@
+#!/usr/bin/env python3
+"""Alternating A/B runs of perfbench on two checkouts.
+
+    python3 scripts/perfbench_ab.py --parent ../base --change . \\
+        --workload paper_observed --pairs 10 --seconds 20 --seed0 31
+
+Each tree's perfbench is built and run through that tree's own
+perfbench/run.py, so both sides use their own benchmark code. Pair i runs
+both trees on seed seed0 + i, the parent first in even pairs and the
+change first in odd ones. Any run that exits non-zero or reports
+`correct: false` stops the script with status 1.
+
+For every end-to-end metric in the parent's BENCHMARK.json it prints the
+parent's median and quartiles, the change's median, the ratio
+change / parent and the pairs the change won (ties count for neither
+side). With --trace 1 the runs are traced and the per-layer metrics are
+printed the same way (medians of a traced run, not end-to-end numbers).
+"""
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+
+
+def run(tree, workload, seed, seconds, trace):
+    cmd = [sys.executable, os.path.join("perfbench", "run.py"),
+           "--workload", workload, "--seed", str(seed),
+           "--seconds", str(seconds), "--trace", str(trace)]
+    proc = subprocess.run(cmd, cwd=tree, stdout=subprocess.PIPE,
+                          stderr=subprocess.DEVNULL, text=True)
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode != 0 or not lines:
+        sys.exit(f"perfbench_ab: {tree} {workload} seed {seed} "
+                 f"exited {proc.returncode}")
+    result = json.loads(lines[-1])
+    if not result.get("correct"):
+        sys.exit(f"perfbench_ab: {tree} {workload} seed {seed} "
+                 "reported correct: false")
+    return {name: m["value"] for name, m in result["metrics"].items()}
+
+
+def quartiles(values):
+    if len(values) < 2:
+        return values[0], values[0], values[0]
+    q1, med, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, med, q3
+
+
+def report(title, names, better, parent, change):
+    print(f"\n{title}")
+    print(f"  {'metric':<34} {'parent med':>12} {'parent q1':>12} "
+          f"{'parent q3':>12} {'change med':>12} {'ratio':>7} {'won':>7}")
+    for name in names:
+        pairs = [(p[name], c[name]) for p, c in zip(parent, change)
+                 if name in p and name in c]
+        if not pairs:
+            continue
+        pv = [p for p, _ in pairs]
+        cv = [c for _, c in pairs]
+        q1, pmed, q3 = quartiles(pv)
+        cmed = statistics.median(cv)
+        sign = 1 if better.get(name, "lower") == "higher" else -1
+        won = sum(1 for p, c in pairs if sign * (c - p) > 0)
+        ratio = f"{cmed / pmed:7.3f}" if pmed else "      -"
+        print(f"  {name:<34} {pmed:>12.6g} {q1:>12.6g} {q3:>12.6g} "
+              f"{cmed:>12.6g} {ratio} {won:>3}/{len(pairs):<3}")
+
+
+def main():
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("--parent", required=True, help="parent checkout")
+    p.add_argument("--change", required=True, help="changed checkout")
+    p.add_argument("--workload", required=True)
+    p.add_argument("--pairs", type=int, default=10)
+    p.add_argument("--seconds", type=float, default=20)
+    p.add_argument("--seed0", type=int, default=1)
+    p.add_argument("--trace", type=int, choices=(0, 1), default=0)
+    args = p.parse_args()
+
+    with open(os.path.join(args.parent, "BENCHMARK.json")) as f:
+        spec = json.load(f)
+    parent, change = [], []
+    for i in range(args.pairs):
+        seed = args.seed0 + i
+        order = [("parent", args.parent), ("change", args.change)]
+        if i % 2 == 1:
+            order.reverse()
+        got = {side: run(tree, args.workload, seed, args.seconds, args.trace)
+               for side, tree in order}
+        parent.append(got["parent"])
+        change.append(got["change"])
+        print(f"pair {i + 1}/{args.pairs} seed {seed}: "
+              f"{order[0][0]} first, all runs correct", file=sys.stderr)
+
+    metrics = spec["per_layer"] if args.trace else spec["end_to_end"]
+    better = {m["name"]: m["better"] for m in metrics}
+    report(f"{args.workload}: {args.pairs} alternating pairs, seeds "
+           f"{args.seed0}..{args.seed0 + args.pairs - 1}, {args.seconds:g} s "
+           f"runs{', traced' if args.trace else ''}",
+           [m["name"] for m in metrics], better, parent, change)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -252,15 +252,6 @@ void TransactionTracer::flush() {
   flushed_ = true;
 }
 
-telemetry::TraceEventLog TransactionTracer::spans() const {
-  telemetry::TraceEventLog spans;
-  spans.reserve(3 * log_.size());
-  for (const telemetry::TxnRecord& r : log_.records()) {
-    telemetry::append_txn_spans(spans, r);
-  }
-  return spans;
-}
-
 telemetry::TxnSummary TransactionTracer::summary(double total_energy_j) const {
   telemetry::TxnSummary s;
   s.total_energy_j = total_energy_j;

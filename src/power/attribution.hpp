@@ -96,10 +96,13 @@ public:
   [[nodiscard]] const std::vector<std::uint64_t>& master_txns() const {
     return master_txns_;
   }
-  /// Chrome-trace spans on per-master tracks (telemetry::txn_track_tid),
-  /// rendered from log() on each call: the run itself records only the
-  /// plain TxnRecords, so span rendering costs nothing per transaction.
-  [[nodiscard]] telemetry::TraceEventLog spans() const;
+  /// Chrome-trace spans on per-master tracks (telemetry::txn_track_tid):
+  /// a view over log() that the writers render straight from the
+  /// records, so spans cost nothing per transaction. Valid while the
+  /// tracer lives.
+  [[nodiscard]] telemetry::TxnSpanView spans() const {
+    return telemetry::TxnSpanView(log_);
+  }
   /// Attribution totals + per-transaction stream header for the JSON
   /// exporter; total_energy_j is the caller's FSM total.
   [[nodiscard]] telemetry::TxnSummary summary(double total_energy_j) const;

@@ -9,54 +9,51 @@
 
 namespace ahbp::telemetry {
 
-void append_json_escaped(std::string& out, std::string_view s) {
+char* write_json_escaped(char* p, std::string_view s) {
   static constexpr char kHex[] = "0123456789abcdef";
-  std::size_t plain = 0;  // start of the pending run of bytes kept as-is
-  for (std::size_t i = 0; i < s.size(); ++i) {
-    const auto c = static_cast<unsigned char>(s[i]);
-    if (c >= 0x20 && c != '"' && c != '\\') continue;
-    out.append(s, plain, i - plain);
-    plain = i + 1;
+  for (const char ch : s) {
+    const auto c = static_cast<unsigned char>(ch);
+    if (c >= 0x20 && c != '"' && c != '\\') {
+      *p++ = ch;
+      continue;
+    }
+    *p++ = '\\';
     switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
+      case '"': *p++ = '"'; break;
+      case '\\': *p++ = '\\'; break;
+      case '\n': *p++ = 'n'; break;
+      case '\r': *p++ = 'r'; break;
+      case '\t': *p++ = 't'; break;
       default:
-        out += "\\u00";
-        out += kHex[c >> 4];
-        out += kHex[c & 0xf];
+        p = std::copy_n("u00", 3, p);
+        *p++ = kHex[c >> 4];
+        *p++ = kHex[c & 0xf];
     }
   }
-  out.append(s, plain);
+  return p;
 }
 
 std::string json_escape(std::string_view s) {
   std::string out;
-  out.reserve(s.size());
   append_json_escaped(out, s);
   return out;
 }
 
-void append_json_number(std::string& out, double v) {
+char* write_json_number(char* p, double v) {
   if (!std::isfinite(v) || v == 0.0) {
-    out += '0';
-    return;
+    *p = '0';
+    return p + 1;
   }
   // Exact integers (within double's exact range) without a fraction.
   if (std::fabs(v) < 9.007199254740992e15) {
     const auto whole = static_cast<std::int64_t>(v);
-    if (static_cast<double>(whole) == v) {
-      append_int(out, whole);
-      return;
-    }
+    if (static_cast<double>(whole) == v) return write_int(p, whole);
   }
-  char buf[40];
-  char* const end = buf + sizeof buf;
+  char buf[kNumberChars];
   // The shortest round-trip form, "d[.ddd]e±XX".
   const char* const sci =
-      std::to_chars(buf, end, v, std::chars_format::scientific).ptr;
+      std::to_chars(buf, buf + sizeof buf, v, std::chars_format::scientific)
+          .ptr;
   constexpr std::uint64_t kMantissa = (std::uint64_t{1} << 52) - 1;
   if ((std::bit_cast<std::uint64_t>(v) & kMantissa) == 0) {
     // A power of two: its round-trip interval is lopsided (the lower
@@ -64,18 +61,16 @@ void append_json_number(std::string& out, double v) {
     // digit count can round outside it. Step the precision up until the
     // parse matches.
     int prec = 0;
-    for (const char* p = buf; p != sci && *p != 'e'; ++p) {
-      if (*p >= '0' && *p <= '9') ++prec;
+    for (const char* q = buf; q != sci && *q != 'e'; ++q) {
+      if (*q >= '0' && *q <= '9') ++prec;
     }
     for (;; ++prec) {
-      char* const last =
-          std::to_chars(buf, end, v, std::chars_format::general, prec).ptr;
+      char* const last = std::to_chars(p, p + kNumberChars, v,
+                                       std::chars_format::general, prec)
+                             .ptr;
       double back = 0.0;
-      std::from_chars(buf, last, back);
-      if (back == v || prec >= 17) {
-        out.append(buf, static_cast<std::size_t>(last - buf));
-        return;
-      }
+      std::from_chars(p, last, back);
+      if (back == v || prec >= 17) return last;
     }
   }
   // Every other value has a symmetric round-trip interval, so the
@@ -83,49 +78,65 @@ void append_json_number(std::string& out, double v) {
   // that precision P (the closest P-digit decimal lies in the interval
   // whenever any does). Only the layout is left: "%g" prints fixed
   // notation when -4 <= exp < P, else the scientific form as it stands.
-  const char* p = buf;
-  char txt[40];
-  char* o = txt;
-  if (*p == '-') *o++ = *p++;
-  const char lead = *p++;
-  const char* const frac = *p == '.' ? p + 1 : p;  // digits after the lead
-  const char* const e = std::find(p, sci, 'e');
+  const char* q = buf;
+  if (*q == '-') *p++ = *q++;
+  const char lead = *q++;
+  const char* const frac = *q == '.' ? q + 1 : q;  // digits after the lead
+  const char* const e = std::find(q, sci, 'e');
   const auto frac_len = static_cast<int>(e - frac);
   int exp = 0;
-  for (const char* q = e + 2; q != sci; ++q) exp = exp * 10 + (*q - '0');
+  for (const char* d = e + 2; d != sci; ++d) exp = exp * 10 + (*d - '0');
   if (e[1] == '-') exp = -exp;
   if (exp < -4 || exp > frac_len) {  // exp >= P, P = frac_len + 1
-    out.append(buf, static_cast<std::size_t>(sci - buf));
-    return;
+    return std::copy(q - 1, sci, p);
   }
   if (exp < 0) {
-    *o++ = '0';
-    *o++ = '.';
-    o = std::fill_n(o, -exp - 1, '0');
-    *o++ = lead;
-    o = std::copy(frac, e, o);
-  } else {
-    *o++ = lead;
-    o = std::copy(frac, frac + exp, o);
-    if (exp < frac_len) {
-      *o++ = '.';
-      o = std::copy(frac + exp, e, o);
+    *p++ = '0';
+    *p++ = '.';
+    p = std::fill_n(p, -exp - 1, '0');
+    *p++ = lead;
+    return std::copy(frac, e, p);
+  }
+  *p++ = lead;
+  p = std::copy(frac, frac + exp, p);
+  if (exp < frac_len) {
+    *p++ = '.';
+    p = std::copy(frac + exp, e, p);
+  }
+  return p;
+}
+
+char* write_tick_us(char* p, std::uint64_t tick, double tick_ns) {
+  const double ns = static_cast<double>(tick) * tick_ns;
+  const double us = ns * 1e-3;
+  // When the product is the double nearest n / 1000 for an integer
+  // n < 2^40 (a whole number of nanoseconds, whenever the product rounded
+  // like the exact quotient), the decimal n / 1000 has at most 13
+  // significant digits, so it is that double's only shortest round-trip
+  // form, and "%g" prints it in fixed notation: its digits with trailing
+  // fraction zeros trimmed.
+  if (ns >= 0.0 && ns < 0x1p40) {
+    const auto n = static_cast<std::uint64_t>(ns);
+    if (us == static_cast<double>(n) / 1000.0) {
+      p = write_int(p, n / 1000);
+      for (auto frac = static_cast<unsigned>(n % 1000), unit = 100u;
+           frac != 0; frac %= unit, unit /= 10) {
+        if (unit == 100) *p++ = '.';
+        *p++ = static_cast<char>('0' + frac / unit);
+      }
+      return p;
     }
   }
-  out.append(txt, static_cast<std::size_t>(o - txt));
+  return write_json_number(p, us);
 }
 
 std::string json_number(double v) {
   std::string out;
-  append_json_number(out, v);
+  append(out, v);
   return out;
 }
 
 namespace {
-
-/// Room for one rendered number or integer plus its separator; used to
-/// size output buffers up front (an estimate, not a limit).
-constexpr std::size_t kNumberBytes = 26;
 
 /// A window's covered wall time in seconds.
 double window_seconds(const WindowSeries::Window& w, const ExportMeta& meta) {
@@ -138,15 +149,21 @@ double window_total(const WindowSeries::Window& w) {
   return t;
 }
 
-double tick_to_us(std::uint64_t tick, const ExportMeta& meta) {
-  return static_cast<double>(tick) * meta.tick_ns * 1e-3;
+std::size_t name_bytes(const std::vector<std::string>& names) {
+  std::size_t n = 0;
+  for (const std::string& s : names) n += s.size();
+  return n;
 }
 
+// Each emitter reserves the sum of its appends' bounds (append_bound),
+// so no append, the last one included, reallocates the buffer.
+
 std::string window_csv(const WindowSeries& series, const ExportMeta& meta) {
+  const std::size_t tracks = series.tracks().size();
   std::string out;
-  out.reserve(64 + 16 * series.tracks().size() +
+  out.reserve(64 + 5 * tracks + name_bytes(series.tracks()) +
               series.windows().size() *
-                  (24 + (series.tracks().size() + 3) * kNumberBytes));
+                  (8 + 3 * kIntChars + (tracks + 3) * (1 + kNumberChars)));
   out += "window,start_tick,ticks,t_start_us";
   for (const std::string& t : series.tracks()) append(out, ",e_", t, "_j");
   out += ",e_total_j,p_total_w\n";
@@ -155,7 +172,7 @@ std::string window_csv(const WindowSeries& series, const ExportMeta& meta) {
     const double total = window_total(w);
     const double secs = window_seconds(w, meta);
     append(out, idx++, ',', w.start_tick, ',', w.ticks, ',',
-           tick_to_us(w.start_tick, meta));
+           TickUs{w.start_tick, meta.tick_ns});
     for (const double v : w.values) append(out, ',', v);
     append(out, ',', total, ',', secs > 0.0 ? total / secs : 0.0, '\n');
   }
@@ -166,10 +183,13 @@ std::string window_json(const WindowSeries& series, const ExportMeta& meta) {
   double grand_total = 0.0;
   for (const auto& w : series.windows()) grand_total += window_total(w);
 
+  const std::size_t tracks = series.tracks().size();
   std::string out;
-  out.reserve(256 + 16 * series.tracks().size() +
+  out.reserve(192 + kIntChars + 2 * kNumberChars + 4 * tracks +
+              6 * name_bytes(series.tracks()) +
               series.windows().size() *
-                  (112 + (series.tracks().size() + 3) * kNumberBytes));
+                  (112 + 2 * kIntChars + 3 * kNumberChars +
+                   tracks * (2 + kNumberChars)));
   append(out, "{\n  \"schema\": \"ahbpower.windows.v1\",\n  \"tick_ns\": ",
          meta.tick_ns, ",\n  \"window_ticks\": ", series.window_ticks(),
          ",\n  \"tracks\": [");
@@ -185,7 +205,7 @@ std::string window_json(const WindowSeries& series, const ExportMeta& meta) {
     const double secs = window_seconds(w, meta);
     append(out, i == 0 ? "\n" : ",\n", "    {\"start_tick\": ", w.start_tick,
            ", \"ticks\": ", w.ticks,
-           ", \"t_start_us\": ", tick_to_us(w.start_tick, meta),
+           ", \"t_start_us\": ", TickUs{w.start_tick, meta.tick_ns},
            ", \"energy_j\": [");
     for (std::size_t j = 0; j < w.values.size(); ++j) {
       if (j != 0) out += ", ";
@@ -200,56 +220,22 @@ std::string window_json(const WindowSeries& series, const ExportMeta& meta) {
 
 std::string chrome_trace(const TraceEventLog& log, const WindowSeries* series,
                          const ExportMeta& meta) {
-  std::size_t estimate = 256 + 96 * meta.threads.size();
+  std::size_t slice_bytes = 0;
   for (const TraceEvent& e : log.events()) {
-    estimate += 88 + 2 * kNumberBytes + e.name.size() + e.category.size() +
-                e.args_json.size();
+    slice_bytes +=
+        trace_slice_bound(e.name, e.category) + 11 + e.args_json.size();
   }
-  if (series != nullptr) {
-    std::size_t track_bytes = 0;
-    for (const std::string& t : series->tracks()) track_bytes += t.size() + 6;
-    estimate += series->windows().size() *
-                (64 + track_bytes +
-                 (series->tracks().size() + 1) * kNumberBytes);
-  }
-  std::string out;
-  out.reserve(estimate);
-  append(out,
-         "{\"traceEvents\": [\n"
-         "  {\"name\": \"process_name\", \"ph\": \"M\", \"pid\": 1, "
-         "\"tid\": 0, \"args\": {\"name\": \"",
-         JsonEscaped{meta.process_name}, "\"}}");
-  for (const auto& [tid, label] : meta.threads) {
-    append(out,
-           ",\n  {\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": 1, "
-           "\"tid\": ",
-           tid, ", \"args\": {\"name\": \"", JsonEscaped{label}, "\"}}");
-  }
-  for (const TraceEvent& e : log.events()) {
-    append(out, ",\n  {\"name\": \"", JsonEscaped{e.name}, "\", \"cat\": \"",
-           JsonEscaped{e.category}, "\", \"ph\": \"X\", \"pid\": 1, \"tid\": ",
-           e.tid, ", \"ts\": ", tick_to_us(e.start_tick, meta), ", \"dur\": ",
-           static_cast<double>(e.dur_ticks) * meta.tick_ns * 1e-3);
-    if (!e.args_json.empty()) append(out, ", \"args\": ", e.args_json);
-    out += '}';
-  }
-  if (series != nullptr) {
-    for (const auto& w : series->windows()) {
-      const double secs = window_seconds(w, meta);
-      append(out, ",\n  {\"name\": \"power_mw\", \"ph\": \"C\", \"pid\": 1, "
-                  "\"ts\": ",
-             tick_to_us(w.start_tick, meta), ", \"args\": {");
-      for (std::size_t j = 0; j < w.values.size(); ++j) {
-        if (j != 0) out += ", ";
-        const double watts = secs > 0.0 ? w.values[j] / secs : 0.0;
-        append(out, '"', JsonEscaped{series->tracks()[j]}, "\": ",
-               watts * 1e3);
-      }
-      out += "}}";
-    }
-  }
-  out += "\n]}\n";
-  return out;
+  return chrome_trace_text(
+      slice_bytes,
+      [&](std::string& out) {
+        for (const TraceEvent& e : log.events()) {
+          append_trace_slice(out, e.name, e.category, e.tid, e.start_tick,
+                             e.dur_ticks, meta.tick_ns);
+          if (!e.args_json.empty()) append(out, ", \"args\": ", e.args_json);
+          out += '}';
+        }
+      },
+      series, meta);
 }
 
 std::string metrics_json(const MetricsRegistry& registry) {
@@ -333,6 +319,63 @@ std::string prometheus_text(const MetricsRegistry& registry) {
 }
 
 }  // namespace
+
+void append_trace_slice(std::string& out, std::string_view name,
+                        std::string_view category, int tid,
+                        std::uint64_t start_tick, std::uint64_t dur_ticks,
+                        double tick_ns) {
+  append(out, ",\n  {\"name\": \"", JsonEscaped{name}, "\", \"cat\": \"",
+         JsonEscaped{category}, "\", \"ph\": \"X\", \"pid\": 1, \"tid\": ",
+         tid, ", \"ts\": ", TickUs{start_tick, tick_ns}, ", \"dur\": ",
+         TickUs{dur_ticks, tick_ns});
+}
+
+std::string chrome_trace_text(
+    std::size_t slice_bytes,
+    const std::function<void(std::string&)>& append_slices,
+    const WindowSeries* series, const ExportMeta& meta) {
+  std::size_t bytes = 128 + 6 * meta.process_name.size() + slice_bytes;
+  for (const auto& thread : meta.threads) {
+    bytes += 96 + kIntChars + 6 * thread.second.size();
+  }
+  if (series != nullptr) {
+    bytes += series->windows().size() *
+             (72 + kNumberChars +
+              series->tracks().size() * (6 + kNumberChars) +
+              6 * name_bytes(series->tracks()));
+  }
+  std::string out;
+  out.reserve(bytes);
+  append(out,
+         "{\"traceEvents\": [\n"
+         "  {\"name\": \"process_name\", \"ph\": \"M\", \"pid\": 1, "
+         "\"tid\": 0, \"args\": {\"name\": \"",
+         JsonEscaped{meta.process_name}, "\"}}");
+  for (const auto& [tid, label] : meta.threads) {
+    append(out,
+           ",\n  {\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": 1, "
+           "\"tid\": ",
+           tid, ", \"args\": {\"name\": \"", JsonEscaped{label}, "\"}}");
+  }
+  append_slices(out);
+  if (series != nullptr) {
+    for (const auto& w : series->windows()) {
+      const double secs = window_seconds(w, meta);
+      append(out, ",\n  {\"name\": \"power_mw\", \"ph\": \"C\", \"pid\": 1, "
+                  "\"ts\": ",
+             TickUs{w.start_tick, meta.tick_ns}, ", \"args\": {");
+      for (std::size_t j = 0; j < w.values.size(); ++j) {
+        if (j != 0) out += ", ";
+        const double watts = secs > 0.0 ? w.values[j] / secs : 0.0;
+        append(out, '"', JsonEscaped{series->tracks()[j]}, "\": ",
+               watts * 1e3);
+      }
+      out += "}}";
+    }
+  }
+  out += "\n]}\n";
+  return out;
+}
 
 void write_window_csv(std::ostream& os, const WindowSeries& series,
                       const ExportMeta& meta) {

@@ -11,10 +11,14 @@
 // checked in CI by tools/telemetry_validate against
 // tools/telemetry_schema.json.
 
+#include <algorithm>
+#include <cassert>
 #include <charconv>
 #include <concepts>
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
+#include <functional>
 #include <iosfwd>
 #include <string>
 #include <string_view>
@@ -27,58 +31,131 @@
 namespace ahbp::telemetry {
 
 /// @name Text rendering primitives (shared by every emitter)
-/// Emitters build each output in one std::string through append() and
-/// the append_* primitives under it; json_escape / json_number return
-/// the same renderings as a fresh string.
+/// Emitters build each output in one std::string through append(): it
+/// grows the string once by the parts' upper bound (append_bound),
+/// writes each part through the char* writers below and trims the
+/// string to what was written. json_escape / json_number return the
+/// same renderings as a fresh string.
 ///@{
-/// Appends `s` escaped for use inside JSON double quotes.
-void append_json_escaped(std::string& out, std::string_view s);
-/// Appends a finite double as the shortest "%.*g" rendering that parses
+/// Most characters an integer renders to (INT64_MIN, UINT64_MAX).
+inline constexpr std::size_t kIntChars = 20;
+/// Most characters write_json_number renders; its longest output is 24
+/// ("-2.2250738585072014e-308").
+inline constexpr std::size_t kNumberChars = 32;
+
+/// Writes `s` escaped for use inside JSON double quotes at `p` (at most
+/// 6 * s.size() characters); returns one past the last one written.
+char* write_json_escaped(char* p, std::string_view s);
+/// Writes a finite double as the shortest "%.*g" rendering that parses
 /// back to the same value ("1.5", "0.1", "1e-12"); integral values
 /// within the exact-double range render without a fraction. Non-finite
-/// values render as 0 (JSON has no inf/nan).
-void append_json_number(std::string& out, double v);
-/// Appends an integer's decimal digits.
+/// values render as 0 (JSON has no inf/nan). At most kNumberChars.
+char* write_json_number(char* p, double v);
+/// Writes `tick * tick_ns * 1e-3` (a tick as microseconds) exactly as
+/// write_json_number renders it, without the general formatter when the
+/// product is a whole number of nanoseconds. At most kNumberChars.
+char* write_tick_us(char* p, std::uint64_t tick, double tick_ns);
+/// Writes an integer's decimal digits (at most kIntChars).
 template <std::integral T>
-void append_int(std::string& out, T v) {
-  char buf[24];
-  const char* const end = std::to_chars(buf, buf + sizeof buf, v).ptr;
-  out.append(buf, static_cast<std::size_t>(end - buf));
+char* write_int(char* p, T v) {
+  return std::to_chars(p, p + kIntChars, v).ptr;
 }
-/// Escapes a string for use inside JSON double quotes.
-[[nodiscard]] std::string json_escape(std::string_view s);
-/// append_json_number's rendering as a string.
-[[nodiscard]] std::string json_number(double v);
 
 /// A string to append as escaped JSON string content (no quotes added).
 struct JsonEscaped {
   std::string_view s;
 };
 
+/// A tick to append in microseconds, as write_tick_us renders it.
+struct TickUs {
+  std::uint64_t tick = 0;
+  double tick_ns = 0.0;
+};
+
 namespace detail {
-inline void append_part(std::string& out, std::string_view s) { out += s; }
-inline void append_part(std::string& out, char c) { out += c; }
-inline void append_part(std::string& out, double v) {
-  append_json_number(out, v);
+// String literals take the array overloads: their length is a constant,
+// so no strlen runs and the copy compiles to a few moves.
+template <std::size_t N>
+constexpr std::size_t part_bound(const char (&)[N]) {
+  return N - 1;
 }
-inline void append_part(std::string& out, JsonEscaped e) {
-  append_json_escaped(out, e.s);
+constexpr std::size_t part_bound(std::string_view s) { return s.size(); }
+constexpr std::size_t part_bound(char) { return 1; }
+constexpr std::size_t part_bound(double) { return kNumberChars; }
+constexpr std::size_t part_bound(TickUs) { return kNumberChars; }
+constexpr std::size_t part_bound(JsonEscaped e) { return 6 * e.s.size(); }
+template <std::integral T>
+  requires(!std::same_as<T, char> && !std::same_as<T, bool>)
+constexpr std::size_t part_bound(T) {
+  return kIntChars;
+}
+
+template <std::size_t N>
+char* write_part(char* p, const char (&s)[N]) {
+  assert(std::char_traits<char>::length(s) == N - 1);  // a literal
+  std::memcpy(p, s, N - 1);
+  return p + (N - 1);
+}
+inline char* write_part(char* p, std::string_view s) {
+  return std::copy(s.begin(), s.end(), p);
+}
+inline char* write_part(char* p, char c) {
+  *p = c;
+  return p + 1;
+}
+inline char* write_part(char* p, double v) { return write_json_number(p, v); }
+inline char* write_part(char* p, TickUs t) {
+  return write_tick_us(p, t.tick, t.tick_ns);
+}
+inline char* write_part(char* p, JsonEscaped e) {
+  return write_json_escaped(p, e.s);
 }
 template <std::integral T>
   requires(!std::same_as<T, char> && !std::same_as<T, bool>)
-void append_part(std::string& out, T v) {
-  append_int(out, v);
+char* write_part(char* p, T v) {
+  return write_int(p, v);
+}
+
+template <class Part>
+char* write_bounded(char* p, const Part& part) {
+  char* const end = write_part(p, part);
+  assert(static_cast<std::size_t>(end - p) <= part_bound(part));
+  return end;
 }
 }  // namespace detail
 
+/// The most characters append(out, parts...) can write: text its size,
+/// a char 1, an integer kIntChars, a double or TickUs kNumberChars, a
+/// JsonEscaped string 6 characters per byte.
+template <class... Parts>
+constexpr std::size_t append_bound(const Parts&... parts) {
+  return (std::size_t{0} + ... + detail::part_bound(parts));
+}
+
 /// Appends each part in order: text and chars as they are, integers as
-/// decimal digits, doubles as append_json_number renders them and
-/// JsonEscaped strings escaped. The emitters' one formatting path:
+/// decimal digits, doubles as write_json_number renders them, TickUs
+/// stamps as write_tick_us does and JsonEscaped strings escaped. The
+/// emitters' one formatting path:
 ///   append(out, "{\"id\": ", r.id, ", \"energy_j\": ", r.energy_j, '}');
 template <class... Parts>
 void append(std::string& out, const Parts&... parts) {
-  (detail::append_part(out, parts), ...);
+  const std::size_t at = out.size();
+  out.resize(at + append_bound(parts...));
+  char* p = out.data() + at;
+  ((p = detail::write_bounded(p, parts)), ...);
+  out.resize(static_cast<std::size_t>(p - out.data()));
 }
+
+/// Appends `s` escaped for use inside JSON double quotes.
+inline void append_json_escaped(std::string& out, std::string_view s) {
+  append(out, JsonEscaped{s});
+}
+/// Appends write_json_number's rendering of `v`.
+inline void append_json_number(std::string& out, double v) { append(out, v); }
+/// Escapes a string for use inside JSON double quotes.
+[[nodiscard]] std::string json_escape(std::string_view s);
+/// write_json_number's rendering as a string.
+[[nodiscard]] std::string json_number(double v);
 ///@}
 
 /// Conversion context shared by the exporters: how long one series tick
@@ -127,7 +204,6 @@ public:
     events_.push_back(TraceEvent{name, category, start_tick, dur_ticks, tid,
                                  std::move(args_json)});
   }
-  void reserve(std::size_t n) { events_.reserve(n); }
   [[nodiscard]] const std::vector<TraceEvent>& events() const { return events_; }
   [[nodiscard]] std::size_t size() const { return events_.size(); }
   [[nodiscard]] bool empty() const { return events_.empty(); }
@@ -135,6 +211,34 @@ public:
 private:
   std::vector<TraceEvent> events_;
 };
+
+/// @name Chrome trace building blocks
+/// Shared by the TraceEventLog writer below and the transaction-span
+/// writer (txn_trace.hpp), so both lay slices out byte for byte alike.
+///@{
+/// The most characters append_trace_slice writes for these labels (its
+/// fixed text is 73 characters).
+constexpr std::size_t trace_slice_bound(std::string_view name,
+                                        std::string_view category) {
+  return 80 + kIntChars + 2 * kNumberChars +
+         6 * (name.size() + category.size());
+}
+/// Appends one "X" slice from its ",\n  {" separator through its "dur"
+/// field; the caller appends an optional `, "args": {...}` and the
+/// closing '}'.
+void append_trace_slice(std::string& out, std::string_view name,
+                        std::string_view category, int tid,
+                        std::uint64_t start_tick, std::uint64_t dur_ticks,
+                        double tick_ns);
+/// A whole Chrome trace document: the process and thread metadata of
+/// `meta`, the slices `append_slices(out)` appends (at most
+/// `slice_bytes` characters), then one "C" counter event per window of
+/// `series` when it is non-null.
+[[nodiscard]] std::string chrome_trace_text(
+    std::size_t slice_bytes,
+    const std::function<void(std::string&)>& append_slices,
+    const WindowSeries* series, const ExportMeta& meta);
+///@}
 
 /// @name Stream writers
 /// Each renders its whole output into one buffer and writes it to `os`

@@ -32,10 +32,16 @@ std::size_t kind_index(TxnKind k) {
   return i < kKindNames.size() ? i : static_cast<std::size_t>(TxnKind::kUnknown);
 }
 
-/// Room for one rendered record as a CSV row and as a JSON object; used
-/// to size output buffers up front (estimates, not limits).
-constexpr std::size_t kCsvRowBytes = 128;
-constexpr std::size_t kJsonRecordBytes = 384;
+constexpr std::string_view kTxnCategory = "txn";
+
+/// The most characters one record renders to as a CSV row, as a JSON
+/// object and as its Chrome-trace slices, from the bounds of the parts
+/// (append_bound), so the reserves below are never outgrown.
+constexpr std::size_t kCsvRowBytes = 32 + 14 * kIntChars + kNumberChars;
+constexpr std::size_t kJsonRecordBytes = 320 + 14 * kIntChars + kNumberChars;
+constexpr std::size_t kSpanRecordBytes =
+    3 * (trace_slice_bound("UNKNOWN WR", kTxnCategory) + 1) + 10 + 72 +
+    5 * kIntChars + kNumberChars;
 
 /// One record as a compact JSON object (shared by write_txn_json).
 void append_record(std::string& out, const TxnRecord& r) {
@@ -72,9 +78,10 @@ std::string txn_csv(const TxnTraceLog& log) {
 std::string txn_json(const TxnTraceLog& log, const TxnSummary& summary,
                      const ExportMeta& meta) {
   std::string out;
-  out.reserve(256 +
-              (summary.master_energy_j.size() + summary.slave_energy_j.size()) *
-                  64 +
+  out.reserve(256 + 3 * kNumberChars +
+              summary.master_energy_j.size() *
+                  (32 + kIntChars + kNumberChars) +
+              summary.slave_energy_j.size() * (16 + kNumberChars) +
               log.size() * kJsonRecordBytes);
   append(out, "{\n  \"schema\": \"ahbpower.txns.v1\",\n  \"tick_ns\": ",
          meta.tick_ns, ",\n  \"total_energy_j\": ", summary.total_energy_j,
@@ -101,6 +108,28 @@ std::string txn_json(const TxnTraceLog& log, const TxnSummary& summary,
   return out;
 }
 
+std::string txn_chrome_trace(const TxnSpanView& spans,
+                             const WindowSeries* series,
+                             const ExportMeta& meta) {
+  const TxnTraceLog& log = spans.log();
+  return chrome_trace_text(
+      log.size() * kSpanRecordBytes,
+      [&](std::string& out) {
+        for (const TxnRecord& r : log.records()) {
+          for_each_txn_slice(r, [&](const TxnSlice& s) {
+            append_trace_slice(out, s.name, kTxnCategory, s.tid, s.start_tick,
+                               s.dur_ticks, meta.tick_ns);
+            if (s.args) {
+              out += ", \"args\": ";
+              append_txn_args(out, r);
+            }
+            out += '}';
+          });
+        }
+      },
+      series, meta);
+}
+
 }  // namespace
 
 std::string_view to_string(TxnKind k) { return kKindNames[kind_index(k)]; }
@@ -118,24 +147,32 @@ void write_txn_json(std::ostream& os, const TxnTraceLog& log,
   os << txn_json(log, summary, meta);
 }
 
-void append_txn_spans(TraceEventLog& spans, const TxnRecord& r) {
-  const int tid = txn_track_tid(r.master);
-  const std::uint64_t dur =
-      r.end_tick > r.req_tick ? r.end_tick - r.req_tick : 1;
-  std::string args;
-  append(args, "{\"txn\": ", r.id, ", \"slave\": ", r.slave,
+void append_txn_args(std::string& out, const TxnRecord& r) {
+  append(out, "{\"txn\": ", r.id, ", \"slave\": ", r.slave,
          ", \"beats\": ", r.data_beats, ", \"waits\": ", r.wait_cycles,
          ", \"retries\": ", r.retries, ", \"energy_j\": ", r.energy_j, '}');
-  spans.add_complete(txn_span_name(r.kind, r.write), "txn", r.req_tick, dur,
-                     tid, std::move(args));
-  if (r.start_tick > r.req_tick) {
-    spans.add_complete("arb", "txn", r.req_tick, r.start_tick - r.req_tick,
-                       tid, {});
+}
+
+void append_txn_spans(TraceEventLog& spans, const TxnRecord& r) {
+  for_each_txn_slice(r, [&](const TxnSlice& s) {
+    std::string args;
+    if (s.args) append_txn_args(args, r);
+    spans.add_complete(s.name, kTxnCategory, s.start_tick, s.dur_ticks, s.tid,
+                       std::move(args));
+  });
+}
+
+std::size_t TxnSpanView::size() const {
+  std::size_t n = 0;
+  for (const TxnRecord& r : log_->records()) {
+    for_each_txn_slice(r, [&n](const TxnSlice&) { ++n; });
   }
-  if (r.end_tick > r.start_tick) {
-    spans.add_complete("xfer", "txn", r.start_tick, r.end_tick - r.start_tick,
-                       tid, {});
-  }
+  return n;
+}
+
+void write_chrome_trace(std::ostream& os, const TxnSpanView& spans,
+                        const WindowSeries* series, const ExportMeta& meta) {
+  os << txn_chrome_trace(spans, series, meta);
 }
 
 void write_txn_csv_file(const std::filesystem::path& path,
@@ -147,6 +184,13 @@ void write_txn_json_file(const std::filesystem::path& path,
                          const TxnTraceLog& log, const TxnSummary& summary,
                          const ExportMeta& meta) {
   AtomicFile::publish(path, txn_json(log, summary, meta));
+}
+
+void write_chrome_trace_file(const std::filesystem::path& path,
+                             const TxnSpanView& spans,
+                             const WindowSeries* series,
+                             const ExportMeta& meta) {
+  AtomicFile::publish(path, txn_chrome_trace(spans, series, meta));
 }
 
 }  // namespace ahbp::telemetry

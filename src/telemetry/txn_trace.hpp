@@ -14,6 +14,7 @@
 
 #include <cstdint>
 #include <iosfwd>
+#include <string>
 #include <string_view>
 #include <vector>
 
@@ -104,21 +105,71 @@ void write_txn_csv(std::ostream& os, const TxnTraceLog& log);
 void write_txn_json(std::ostream& os, const TxnTraceLog& log,
                     const TxnSummary& summary, const ExportMeta& meta);
 
-/// Appends one transaction's Chrome-trace spans to `spans`: an outer
-/// slice covering [req_tick, end_tick) on the master's track
-/// (tid = master + 2, clear of the bus-instruction track at tid 1),
-/// with nested "arb" and "xfer" child slices and the record's counters
-/// as args. Spans are an export-time view: producers keep only the
-/// TxnTraceLog and render spans from it when a trace is written
-/// (power::TransactionTracer::spans()), so nothing here runs per
-/// simulated transaction. Render the result with write_chrome_trace;
-/// name the tracks via ExportMeta::threads.
-void append_txn_spans(TraceEventLog& spans, const TxnRecord& r);
-
 /// The Chrome-trace thread id carrying a master's transaction spans.
 [[nodiscard]] constexpr int txn_track_tid(unsigned master) {
   return static_cast<int>(master) + 2;
 }
+
+/// One Chrome-trace slice of a transaction, category "txn".
+struct TxnSlice {
+  std::string_view name;  ///< static storage, like TraceEvent::name
+  int tid = 0;
+  std::uint64_t start_tick = 0;
+  std::uint64_t dur_ticks = 0;
+  bool args = false;  ///< carries the record's counters (append_txn_args)
+};
+
+/// Calls `slice(TxnSlice)` for each of a transaction's Chrome-trace
+/// slices, in order: an outer slice covering [req_tick, end_tick) on the
+/// master's track (tid = txn_track_tid(master), clear of the
+/// bus-instruction track at tid 1) that carries the args, then nested
+/// "arb" and "xfer" children when they are non-empty. The one place
+/// that decides a record's spans.
+template <class F>
+void for_each_txn_slice(const TxnRecord& r, F&& slice) {
+  const int tid = txn_track_tid(r.master);
+  const std::uint64_t dur =
+      r.end_tick > r.req_tick ? r.end_tick - r.req_tick : 1;
+  slice(TxnSlice{txn_span_name(r.kind, r.write), tid, r.req_tick, dur, true});
+  if (r.start_tick > r.req_tick) {
+    slice(TxnSlice{"arb", tid, r.req_tick, r.start_tick - r.req_tick, false});
+  }
+  if (r.end_tick > r.start_tick) {
+    slice(TxnSlice{"xfer", tid, r.start_tick, r.end_tick - r.start_tick,
+                   false});
+  }
+}
+
+/// Appends the outer slice's "args" object: {"txn": id, "slave": ...,
+/// "beats": ..., "waits": ..., "retries": ..., "energy_j": ...}.
+void append_txn_args(std::string& out, const TxnRecord& r);
+
+/// Appends one transaction's Chrome-trace spans (for_each_txn_slice) to
+/// `spans` as TraceEvents.
+void append_txn_spans(TraceEventLog& spans, const TxnRecord& r);
+
+/// The Chrome-trace spans of a transaction log, rendered straight from
+/// its records when written: producers keep only the TxnTraceLog
+/// (power::TransactionTracer::spans() returns this view), so nothing
+/// runs per simulated transaction and nothing is materialized per span.
+/// The log must outlive the view. Name the tracks via
+/// ExportMeta::threads.
+class TxnSpanView {
+public:
+  explicit TxnSpanView(const TxnTraceLog& log) : log_(&log) {}
+  [[nodiscard]] const TxnTraceLog& log() const { return *log_; }
+  /// Number of slices (one to three per record).
+  [[nodiscard]] std::size_t size() const;
+  [[nodiscard]] bool empty() const { return log_->empty(); }
+
+private:
+  const TxnTraceLog* log_;
+};
+
+/// Writes the spans as a Chrome trace_event JSON file, byte-identical to
+/// write_chrome_trace over a TraceEventLog filled by append_txn_spans.
+void write_chrome_trace(std::ostream& os, const TxnSpanView& spans,
+                        const WindowSeries* series, const ExportMeta& meta);
 
 /// @name Crash-safe file variants
 /// Identical output to the stream writers above, committed through
@@ -129,6 +180,10 @@ void write_txn_csv_file(const std::filesystem::path& path,
 void write_txn_json_file(const std::filesystem::path& path,
                          const TxnTraceLog& log, const TxnSummary& summary,
                          const ExportMeta& meta);
+void write_chrome_trace_file(const std::filesystem::path& path,
+                             const TxnSpanView& spans,
+                             const WindowSeries* series,
+                             const ExportMeta& meta);
 ///@}
 
 }  // namespace ahbp::telemetry

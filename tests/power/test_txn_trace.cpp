@@ -361,6 +361,42 @@ TEST(TxnTraceIntegration, ExportBytesMatchGolden) {
   EXPECT_EQ(h, 0x512d9cfa5ff48ef8ull);
 }
 
+TEST(TxnTraceIntegration, FallbackStampExportBytesMatchGolden) {
+  // The same artifacts at a 2.5 ns tick: odd ticks land on half
+  // nanoseconds, so their "ts"/"dur"/"t_start_us" stamps take the general
+  // number path instead of the whole-nanosecond one.
+  TxnBench b(AhbPowerEstimator::Config{.telemetry_window_cycles = 10,
+                                       .txn_trace = true});
+  b.run_cycles(1500);
+  b.est->flush_telemetry();
+  const TransactionTracer* t = b.est->txn_tracer();
+  const telemetry::ExportMeta meta{.tick_ns = 2.5};
+  telemetry::ExportMeta txn_meta = meta;
+  for (unsigned m = 0; m < 3; ++m) {
+    txn_meta.threads.emplace_back(telemetry::txn_track_tid(m),
+                                  "m" + std::to_string(m));
+  }
+  std::ostringstream os;
+  telemetry::write_txn_csv(os, t->log());
+  telemetry::write_txn_json(os, t->log(), t->summary(b.est->total_energy()),
+                            meta);
+  telemetry::write_chrome_trace(os, t->spans(), nullptr, txn_meta);
+  telemetry::write_window_csv(os, *b.est->windows(), meta);
+  telemetry::write_window_json(os, *b.est->windows(), meta);
+  telemetry::write_chrome_trace(os, *b.est->trace_events(), b.est->windows(),
+                                meta);
+  const std::string bytes = os.str();
+
+  std::uint64_t h = 14695981039346656037ull;  // FNV-1a, 64-bit
+  for (const char c : bytes) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 1099511628211ull;
+  }
+  // Recorded from the general-path stamps and eagerly rendered spans.
+  EXPECT_EQ(bytes.size(), 630051u);
+  EXPECT_EQ(h, 0x8747d151af8f591aull);
+}
+
 TEST(TxnTraceIntegration, RetriedTransferAppearsAsRework) {
   // A scripted master against a slave that RETRYs every other access:
   // the retried issue closes with the RETRY counted and zero beats, the

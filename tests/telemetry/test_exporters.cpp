@@ -15,6 +15,7 @@
 #include <random>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <utility>
 
 #include "telemetry/metrics.hpp"
@@ -188,6 +189,101 @@ TEST_P(JsonNumberRandomBits, MatchesReference) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Shards, JsonNumberRandomBits, ::testing::Range(0, 8));
+
+/// 1 (and a reported failure) when a TickUs stamp renders differently
+/// from the reference rendering of its product, else 0.
+int stamp_mismatch(std::uint64_t tick, double tick_ns) {
+  std::string got;
+  append(got, TickUs{tick, tick_ns});
+  const std::string want =
+      reference_json_number(static_cast<double>(tick) * tick_ns * 1e-3);
+  if (got == want) return 0;
+  ADD_FAILURE() << "TickUs{" << tick << ", " << tick_ns << "} = " << got
+                << ", reference " << want;
+  return 1;
+}
+
+/// The stamp writer against the reference at one tick length: every
+/// tick below 2^20, 1 M seeded random ticks below the whole-nanosecond
+/// path's 2^40 ns bound (spread over every magnitude, shared out over
+/// the tick lengths), and the first ticks above it. Non-integral tick
+/// lengths send most ticks down the general path. Each (tick length,
+/// shard) pair takes a quarter of the ticks, so ctest runs them in
+/// parallel.
+class TickUsProperty
+    : public ::testing::TestWithParam<std::tuple<double, int>> {};
+
+TEST_P(TickUsProperty, MatchesReference) {
+  constexpr int kShards = 4;
+  constexpr int kTickLengths = 6;
+  const auto [tick_ns, shard] = GetParam();
+  int bad = 0;
+  for (std::uint64_t t = static_cast<unsigned>(shard);
+       t < (1u << 20) && bad < 10; t += kShards) {
+    bad += stamp_mismatch(t, tick_ns);
+  }
+  const auto limit = static_cast<std::uint64_t>(0x1p40 / tick_ns);
+  std::mt19937_64 rng(0x7469636b7573ull + static_cast<unsigned>(shard));
+  for (int i = 0; i < 1'000'000 / (kTickLengths * kShards) && bad < 10; ++i) {
+    bad += stamp_mismatch((rng() % limit) >> (rng() % 40), tick_ns);
+  }
+  std::uint64_t first_above = limit;
+  while (static_cast<double>(first_above) * tick_ns < 0x1p40) ++first_above;
+  for (std::uint64_t t = first_above + static_cast<unsigned>(shard);
+       t < first_above + 4096 && bad < 10; t += kShards) {
+    bad += stamp_mismatch(t, tick_ns);
+  }
+  EXPECT_EQ(bad, 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    TickLengths, TickUsProperty,
+    ::testing::Combine(::testing::Values(10.0, 1.0, 5.0, 2.5, 0.1, 3.3),
+                       ::testing::Range(0, 4)));
+
+/// Appends `part` after a prefix and checks the bytes it wrote stay
+/// within append_bound(part).
+template <class Part>
+void expect_within_bound(const Part& part) {
+  std::string out = "prefix";
+  append(out, part);
+  EXPECT_LE(out.size() - 6, append_bound(part)) << out;
+}
+
+TEST(Append, BoundCoversEveryPart) {
+  expect_within_bound(std::numeric_limits<std::int64_t>::min());
+  expect_within_bound(std::numeric_limits<std::uint64_t>::max());
+  expect_within_bound(std::numeric_limits<std::int32_t>::min());
+  expect_within_bound(-std::numeric_limits<double>::min());
+  expect_within_bound(-std::numeric_limits<double>::denorm_min());
+  expect_within_bound(-std::numeric_limits<double>::max());
+  expect_within_bound(-1.2345678901234567e-308);
+  expect_within_bound(-0.00012345678901234567);
+  expect_within_bound(-12345678901234568.0);
+  for (int e = -1074; e <= 1023; ++e) {
+    const double p = std::ldexp(-1.0, e);
+    expect_within_bound(p);
+    expect_within_bound(std::nextafter(p, 0.0));
+  }
+  expect_within_bound(TickUs{std::numeric_limits<std::uint64_t>::max(), 3.3});
+  expect_within_bound(TickUs{(std::uint64_t{1} << 40) - 1, 1.0});
+  expect_within_bound(TickUs{12345678901, 0.1});
+  std::string controls;
+  for (int i = 0; i < 64; ++i) controls += static_cast<char>(i % 32);
+  expect_within_bound(JsonEscaped{controls});
+  expect_within_bound("literal");
+  expect_within_bound(std::string(100, 'x'));
+  expect_within_bound('c');
+
+  // The Chrome trace slice head, with hostile labels and extreme fields.
+  const std::string name = "\"\\" + controls;
+  std::string out;
+  append_trace_slice(out, name, controls, std::numeric_limits<int>::min(),
+                     std::numeric_limits<std::uint64_t>::max(),
+                     std::numeric_limits<std::uint64_t>::max(),
+                     -1.2345678901234567e-300);
+  EXPECT_LE(out.size(), trace_slice_bound(name, controls));
+}
 
 TEST(JsonEscape, ControlAndQuoteHandling) {
   EXPECT_EQ(json_escape("plain"), "plain");

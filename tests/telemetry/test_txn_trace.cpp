@@ -165,5 +165,36 @@ TEST(TxnSpans, ReadDirectionInSliceName) {
   EXPECT_EQ(spans.events()[0].name, "SINGLE RD");
 }
 
+TEST(TxnSpans, ViewRendersLikeTheEventLog) {
+  // The view's writer renders slices from the records; it must match
+  // write_chrome_trace over the TraceEvents append_txn_spans builds,
+  // including records without an arb or xfer child.
+  TxnTraceLog log;
+  log.add(sample_record());
+  TxnRecord immediate = sample_record();
+  immediate.id = 8;
+  immediate.req_tick = immediate.start_tick;
+  log.add(immediate);
+  TxnRecord orphan = sample_record();
+  orphan.id = 9;
+  orphan.kind = TxnKind::kUnknown;
+  orphan.req_tick = orphan.start_tick = orphan.end_tick = 30;
+  orphan.energy_j = 2.5e-13;
+  log.add(orphan);
+  TraceEventLog spans;
+  for (const TxnRecord& r : log.records()) append_txn_spans(spans, r);
+  const TxnSpanView view(log);
+  EXPECT_EQ(view.size(), spans.size());
+  EXPECT_FALSE(view.empty());
+
+  ExportMeta meta{.tick_ns = 2.5};
+  meta.threads.emplace_back(txn_track_tid(1), "m1");
+  std::ostringstream from_view;
+  std::ostringstream from_log;
+  write_chrome_trace(from_view, view, nullptr, meta);
+  write_chrome_trace(from_log, spans, nullptr, meta);
+  EXPECT_EQ(from_view.str(), from_log.str());
+}
+
 }  // namespace
 }  // namespace ahbp::telemetry
