@@ -15,6 +15,13 @@ parent's median and quartiles, the change's median, the ratio
 change / parent and the pairs the change won (ties count for neither
 side). With --trace 1 the runs are traced and the per-layer metrics are
 printed the same way (medians of a traced run, not end-to-end numbers).
+
+Before the first pair it checks that each tree will build its own
+sources, and exits with status 2 if --parent and --change name the same
+tree, if both trees resolve to one build directory (an absolute
+$CARGO_TARGET_DIR), or if an existing build directory's CMakeCache.txt
+belongs to another tree (a `cp -a` copy of a checkout keeps the
+original's .bench_build/, which rebuilds the original's sources).
 """
 
 import argparse
@@ -23,6 +30,44 @@ import os
 import statistics
 import subprocess
 import sys
+
+
+def build_dir(tree):
+    """The build directory perfbench/run.py in `tree` uses."""
+    return os.path.realpath(os.path.join(
+        tree, os.environ.get("CARGO_TARGET_DIR") or ".bench_build"))
+
+
+def cache_home(build):
+    """CMAKE_HOME_DIRECTORY of the cache in `build`, or None if unbuilt."""
+    try:
+        with open(os.path.join(build, "CMakeCache.txt")) as f:
+            for line in f:
+                if line.startswith("CMAKE_HOME_DIRECTORY:"):
+                    return line.split("=", 1)[1].strip()
+    except FileNotFoundError:
+        pass
+    return None
+
+
+def check_trees(parent, change):
+    """Returns None if each tree builds its own sources, else the problem."""
+    if os.path.realpath(parent) == os.path.realpath(change):
+        return (f"--parent and --change are the same tree "
+                f"({os.path.realpath(parent)}); clone the parent commit into "
+                "another directory with git clone or git archive")
+    if build_dir(parent) == build_dir(change):
+        return (f"both trees build in {build_dir(parent)}; unset "
+                "CARGO_TARGET_DIR or make it a relative path")
+    for tree in (parent, change):
+        build = build_dir(tree)
+        home = cache_home(build)
+        want = os.path.realpath(os.path.join(tree, "perfbench"))
+        if home is not None and os.path.realpath(home) != want:
+            return (f"{build}/CMakeCache.txt was configured for {home}, "
+                    f"not {want}; delete {build} (rm -rf) so the tree "
+                    "rebuilds from its own sources")
+    return None
 
 
 def run(tree, workload, seed, seconds, trace):
@@ -79,6 +124,11 @@ def main():
     p.add_argument("--seed0", type=int, default=1)
     p.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = p.parse_args()
+
+    problem = check_trees(args.parent, args.change)
+    if problem:
+        print(f"perfbench_ab: {problem}", file=sys.stderr)
+        return 2
 
     with open(os.path.join(args.parent, "BENCHMARK.json")) as f:
         spec = json.load(f)

@@ -24,15 +24,46 @@ namespace ahbp::power {
 /// nibbles and bytes, then one multiply adds the eight byte counts.
 /// Used instead of std::popcount, which on a target without a popcount
 /// instruction (the default x86-64 build) is an out-of-line libgcc
-/// call. GCC recognises this pattern: it emits a single popcnt where
-/// the target has one (-march=native) and inline shift/mask/multiply
-/// code elsewhere.
+/// call. GCC recognises this pattern: it emits a single popcnt wherever
+/// the code is compiled for a target that has one -- the whole build
+/// under AHBP_NATIVE=ON (-march=native), or a function marked
+/// AHBP_POPCNT_CLONES -- and inline shift/mask/multiply code elsewhere.
 [[nodiscard]] constexpr unsigned popcount64(std::uint64_t x) {
   x = x - ((x >> 1) & 0x5555555555555555ull);
   x = (x & 0x3333333333333333ull) + ((x >> 2) & 0x3333333333333333ull);
   x = (x + (x >> 4)) & 0x0F0F0F0F0F0F0F0Full;
   return static_cast<unsigned>((x * 0x0101010101010101ull) >> 56);
 }
+
+/// Marks a hot function that counts bits: on x86-64 it is compiled
+/// twice, once with POPCNT and once for the build's baseline target, and
+/// the dynamic loader binds calls to the clone the running CPU supports
+/// (a GNU ifunc). Every popcount64() inlined into the POPCNT clone is one
+/// instruction; CPUs without it run the baseline code. Both clones
+/// execute the same integer and floating-point operations, so results
+/// are bit-identical. Expands to nothing where the target already has
+/// POPCNT (AHBP_NATIVE=ON), where ifunc is unavailable (non-ELF or
+/// non-glibc), off x86-64, on compilers without target_clones, and under
+/// ThreadSanitizer: GCC instruments the generated resolver with
+/// __tsan_func_entry, and the loader runs it before the TSan runtime is
+/// up, so the binary would crash before main().
+#if defined(__SANITIZE_THREAD__)
+#define AHBP_POPCNT_CLONES
+#elif defined(__has_feature)
+#if __has_feature(thread_sanitizer)
+#define AHBP_POPCNT_CLONES
+#endif
+#endif
+#if !defined(AHBP_POPCNT_CLONES) && defined(__x86_64__) && \
+    defined(__GNUC__) && defined(__ELF__) && defined(__GLIBC__) && \
+    !defined(__POPCNT__) && defined(__has_attribute)
+#if __has_attribute(target_clones)
+#define AHBP_POPCNT_CLONES [[gnu::target_clones("popcnt", "default")]]
+#endif
+#endif
+#ifndef AHBP_POPCNT_CLONES
+#define AHBP_POPCNT_CLONES
+#endif
 
 /// Hamming distance between two words: the number of toggling bits --
 /// the central activity measure of the paper's macromodels.

@@ -140,6 +140,9 @@ void PowerFsm::step_repeated(const CycleView& v, std::uint64_t n) {
   activity_.store_repeated(rest);
 }
 
+// The per-cycle kernel: nine popcounts a cycle, so it carries the
+// POPCNT clone (see AHBP_POPCNT_CLONES in activity.hpp).
+AHBP_POPCNT_CLONES
 PowerFsm::StepResult PowerFsm::step(const CycleView& v) {
   ++cycles_;
 

@@ -5,10 +5,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
 #include <random>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "ahb/ahb.hpp"
+#include "bits_digest.hpp"
 #include "power/power.hpp"
 #include "sim/sim.hpp"
 
@@ -205,6 +210,77 @@ TEST(TlmVsCycleAccurate, EnergyPerCycleAgrees) {
   const double ratio = tlm_epc / ca_epc;
   EXPECT_GT(ratio, 0.4) << "tlm " << tlm_epc << " vs ca " << ca_epc;
   EXPECT_LT(ratio, 2.5) << "tlm " << tlm_epc << " vs ca " << ca_epc;
+}
+
+// -- golden values of the TLM power path -------------------------------------
+// perfbench's tlm_paper shape at seed 101: masters 1 and 2 (seeds 101
+// and 101 + 97) on three 4 KB memories, alternating 2000-cycle tenure
+// slices for 20k cycles. Every constant was recorded from the baseline
+// x86-64 code of PowerFsm::step (SWAR popcounts), so on a CPU that runs
+// its POPCNT clone the test checks that the clone computes the same
+// bits. The instruction energies are pinned bit-for-bit through an FNV
+// digest of their IEEE-754 patterns (in instruction-name order) and the
+// block totals as hexfloat literals, so any change to the integers fed
+// into the macromodels or to the order of the floating-point sums shows
+// here.
+
+TEST(TlmGolden, FsmMatchesParentBitForBit) {
+  TlmBus bus(TlmBus::Config{.n_masters = 3});
+  TlmMemory mem1, mem2, mem3;
+  bus.map(mem1, 0x0000, 0x1000);
+  bus.map(mem2, 0x1000, 0x1000);
+  bus.map(mem3, 0x2000, 0x1000);
+  TlmTrafficRunner r1(bus, 1, {.addr_base = 0x0000, .addr_range = 0x1000, .seed = 101});
+  TlmTrafficRunner r2(bus, 2, {.addr_base = 0x1000, .addr_range = 0x1000, .seed = 198});
+  constexpr std::uint64_t kCycles = 20000;
+  for (std::uint64_t next = 2000; bus.cycles() < kCycles; next += 4000) {
+    r1.run_until(std::min(next, kCycles));
+    r2.run_until(std::min(next + 2000, kCycles));
+  }
+  const power::PowerFsm& fsm = bus.fsm();
+  ASSERT_EQ(fsm.cycles(), 20024u);
+  EXPECT_EQ(bus.transfers(), 16690u);
+  EXPECT_EQ(r1.mismatches() + r2.mismatches(), 0u);
+
+  const std::vector<std::pair<std::string, std::uint64_t>> want_counts = {
+      {"IDLE_HO_WRITE", 10}, {"IDLE_IDLE", 2733},  {"IDLE_IDLE_HO", 10},
+      {"IDLE_WRITE", 582},   {"READ_IDLE", 591},   {"READ_WRITE", 7753},
+      {"WRITE_READ", 8345},
+  };
+  std::vector<std::pair<std::string, std::uint64_t>> counts;
+  testutil::BitsDigest energies;
+  for (const auto& [name, st] : fsm.instructions()) {
+    counts.emplace_back(name, st.count);
+    energies.add(st.energy);
+  }
+  EXPECT_EQ(counts, want_counts);
+  EXPECT_EQ(energies.value(), 0x83880798686b0606ull);
+
+  const power::BlockEnergy& b = fsm.block_totals();
+  EXPECT_EQ(b.arb, 0x1.dfc167b2e8321p-31);
+  EXPECT_EQ(b.dec, 0x1.a58161c92e6c8p-27);
+  EXPECT_EQ(b.m2s, 0x1.cf8eeb4bde706p-24);
+  EXPECT_EQ(b.s2m, 0x1.855b99e758ee3p-24);
+
+  struct ChannelGolden {
+    const char* name;
+    std::uint64_t bit_changes, nonzero;
+  };
+  const ChannelGolden want_channels[] = {
+      {"haddr", 45163, 8929},  {"hcontrol", 17873, 17281},
+      {"hwdata", 267150, 16690}, {"hrdata", 267134, 16689},
+      {"hresp", 0, 0},         {"hbusreq", 1183, 1183},
+      {"hgrant", 20, 10},      {"data_slave", 8869, 1183},
+      {"hmaster", 19, 10},
+  };
+  const power::Activity& a = fsm.activity();
+  ASSERT_EQ(a.size(), std::size(want_channels));
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    SCOPED_TRACE(want_channels[i].name);
+    EXPECT_EQ(a.name(i), want_channels[i].name);
+    EXPECT_EQ(a.bit_change_count(i), want_channels[i].bit_changes);
+    EXPECT_EQ(a.nonzero_count(i), want_channels[i].nonzero);
+  }
 }
 
 }  // namespace
