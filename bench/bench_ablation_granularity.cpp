@@ -38,9 +38,9 @@ int main() {
   bench::PaperSystem sys;
   // A custom report sink re-bins the same per-cycle energies at all
   // three granularities simultaneously.
-  struct MultiGranularitySink : power::PowerReportIf {
+  struct MultiGranularitySink : ahb::CycleSubscriber {
     explicit MultiGranularitySink(power::PowerFsm::Config cfg) : fsm(cfg) {}
-    void post_cycle(const power::CycleView& v) override {
+    void post_cycle(const ahb::CycleView& v) override {
       const auto r = fsm.step(v);
       const double e = r.blocks.total();
       // Coarse: transfer vs non-transfer.
@@ -59,7 +59,7 @@ int main() {
   } sink(power::PowerFsm::Config{.n_masters = sys.bus.n_masters(),
                                  .n_slaves = sys.bus.n_slaves()});
 
-  power::BusActivityProbe probe(&sys.top, "probe", sys.bus, sink);
+  sys.bus.subscribe(sink);
   sys.run(sim::SimTime::us(50));
 
   const auto& paper_tab = sink.fsm.instructions();

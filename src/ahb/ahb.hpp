@@ -6,10 +6,12 @@
 //   ScriptedMaster                -- masters
 //   MemorySlave, DefaultSlave     -- slaves
 //   BusMonitor                    -- protocol checker + statistics
+//   CycleView, CycleSubscriber    -- the per-cycle bus sample stream
 
 #include "ahb/arbiter.hpp"
 #include "ahb/burst.hpp"
 #include "ahb/bus.hpp"
+#include "ahb/cycle_view.hpp"
 #include "ahb/decoder.hpp"
 #include "ahb/master.hpp"
 #include "ahb/monitor.hpp"

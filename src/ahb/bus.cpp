@@ -21,7 +21,9 @@ AhbBus::AhbBus(sim::Module* parent, std::string name, sim::Clock& clk, Config cf
       pipeline_(this, "pipeline", clk, sig_, decoder_),
       s2m_(this, "s2m", sig_, pipeline_.data_phase_slave()) {}
 
-AhbBus::~AhbBus() = default;
+AhbBus::~AhbBus() {
+  for (CycleSubscriber* s : subscribers_) s->bus_ = nullptr;
+}
 
 unsigned AhbBus::attach_master(MasterSignals& m) {
   if (finalized_) throw SimError("AhbBus: attach_master after finalize");
@@ -49,6 +51,53 @@ void AhbBus::finalize() {
   m2s_.finalize();
   s2m_.finalize();
   finalized_ = true;
+}
+
+void AhbBus::subscribe(CycleSubscriber& s) {
+  if (!finalized_) throw SimError("AhbBus: subscribe before finalize");
+  if (s.bus_ != nullptr) throw SimError("AhbBus: subscriber already subscribed");
+  s.bus_ = this;
+  subscribers_.push_back(&s);
+  if (tap_) return;
+  tap_ = std::make_unique<sim::Method>(this, "tap", [this] {
+    const CycleView v = sample();
+    for (CycleSubscriber* sub : subscribers_) sub->post_cycle(v);
+  });
+  tap_->sensitive(clk_.negedge_event()).dont_initialize();
+}
+
+void AhbBus::unsubscribe(CycleSubscriber& s) {
+  std::erase(subscribers_, &s);
+  s.bus_ = nullptr;
+}
+
+CycleView AhbBus::sample() {
+  CycleView v;
+  v.haddr = sig_.haddr.read();
+  v.htrans = sig_.htrans.read();
+  v.hwrite = sig_.hwrite.read();
+  v.hsize = sig_.hsize.read();
+  v.hburst = sig_.hburst.read();
+  v.hwdata = sig_.hwdata.read();
+  v.hrdata = sig_.hrdata.read();
+  v.hready = sig_.hready.read();
+  v.hresp = sig_.hresp.read();
+  v.hmaster = sig_.hmaster.read();
+  v.hmaster_data = sig_.hmaster_data.read();
+  v.data_slave = pipeline_.data_phase_slave().read();
+  v.data_active = pipeline_.data_phase_active().read();
+  v.data_write = pipeline_.data_phase_write().read();
+  // Request and grant vectors, assembled from the arbiter's attachments.
+  for (unsigned m = 0; m < n_masters(); ++m) {
+    if (arbiter_.hgrant(m).read()) v.grant_vector |= 1u << m;
+  }
+  v.req_vector = arbiter_.request_vector();
+  v.split_vector = arbiter_.split_mask();
+  return v;
+}
+
+CycleSubscriber::~CycleSubscriber() {
+  if (bus_ != nullptr) bus_->unsubscribe(*this);
 }
 
 }  // namespace ahbp::ahb

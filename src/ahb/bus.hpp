@@ -7,13 +7,16 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "ahb/arbiter.hpp"
+#include "ahb/cycle_view.hpp"
 #include "ahb/decoder.hpp"
 #include "ahb/mux.hpp"
 #include "ahb/signals.hpp"
 #include "sim/clock.hpp"
 #include "sim/module.hpp"
+#include "sim/process.hpp"
 
 namespace ahbp::ahb {
 
@@ -64,6 +67,15 @@ public:
   [[nodiscard]] unsigned n_slaves() const { return decoder_.n_slaves(); }
   ///@}
 
+  /// @name Cycle sample stream
+  ///@{
+  /// Posts one CycleView per cycle to `s`, after the subscribers before
+  /// it. The first subscription creates the bus's one sampling process
+  /// (falling edge: everything driven at the rising edge has settled);
+  /// a bus nobody subscribes to runs none. The bus must be finalized.
+  void subscribe(CycleSubscriber& s);
+  ///@}
+
   /// @name Sub-blocks (the paper's structural decomposition)
   ///@{
   [[nodiscard]] Arbiter& arbiter() { return arbiter_; }
@@ -74,6 +86,12 @@ public:
   ///@}
 
 private:
+  friend class CycleSubscriber;
+  void unsubscribe(CycleSubscriber& s);
+  /// The current settled-cycle view: the one place a CycleView is
+  /// filled from the bus signals.
+  [[nodiscard]] CycleView sample();
+
   sim::Clock& clk_;
   Config cfg_;
   BusSignals sig_;
@@ -84,6 +102,8 @@ private:
   MuxS2M s2m_;
   std::unique_ptr<DefaultSlave> default_slave_;
   bool finalized_ = false;
+  std::vector<CycleSubscriber*> subscribers_;
+  std::unique_ptr<sim::Method> tap_;
 };
 
 }  // namespace ahbp::ahb

@@ -63,23 +63,20 @@ TransactionTrace TransactionTrace::load(std::istream& is) {
 // TraceRecorder
 
 TraceRecorder::TraceRecorder(sim::Module* parent, std::string name, AhbBus& bus)
-    : Module(parent, std::move(name)),
-      bus_(bus),
-      proc_(this, "record", [this] { on_cycle(); }) {
-  if (!bus.finalized()) throw SimError("TraceRecorder: bus must be finalized");
-  proc_.sensitive(bus.clock().negedge_event()).dont_initialize();
+    : Module(parent, std::move(name)), bus_(bus) {
+  bus.subscribe(*this);
 }
 
-void TraceRecorder::on_cycle() {
+void TraceRecorder::post_cycle(const CycleView& v) {
   ++cycle_;
-  const BusSignals& b = bus_.bus();
-  if (!bus_.pipeline().data_phase_active().read() || !b.hready.read()) return;
+  if (!v.data_active || !v.hready) return;
   TransferRecord r;
   r.cycle = cycle_;
-  r.master = b.hmaster_data.read();
-  r.write = bus_.pipeline().data_phase_write().read();
+  r.master = v.hmaster_data;
+  r.write = v.data_write;
+  // The view carries no data-phase address; read the pipeline register.
   r.addr = bus_.pipeline().data_phase_addr().read();
-  r.data = r.write ? b.hwdata.read() : b.hrdata.read();
+  r.data = r.write ? v.hwdata : v.hrdata;
   trace_.add(r);
 }
 

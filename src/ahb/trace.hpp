@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "ahb/cycle_view.hpp"
 #include "ahb/master.hpp"
 #include "ahb/monitor.hpp"
 #include "sim/process.hpp"
@@ -53,21 +54,20 @@ private:
   std::vector<TransferRecord> records_;
 };
 
-/// Passive recorder: samples the bus each cycle and appends every
-/// completed transfer to its trace.
-class TraceRecorder : public sim::Module {
+/// Passive recorder: subscribes to the bus's cycle samples and appends
+/// every completed transfer to its trace.
+class TraceRecorder : public sim::Module, private CycleSubscriber {
 public:
   TraceRecorder(sim::Module* parent, std::string name, AhbBus& bus);
 
   [[nodiscard]] const TransactionTrace& trace() const { return trace_; }
 
 private:
-  void on_cycle();
+  void post_cycle(const CycleView& v) override;
 
   AhbBus& bus_;
   TransactionTrace trace_;
   std::uint64_t cycle_ = 0;
-  sim::Method proc_;
 };
 
 /// Replays a (single-master) trace: performs each recorded transfer at

@@ -110,6 +110,9 @@ void BitSim::settle(std::vector<std::uint64_t>& next) {
   }
 }
 
+// One popcount per toggling net: compiled with and without POPCNT (see
+// AHBP_POPCNT_CLONES in power/activity.hpp).
+AHBP_POPCNT_CLONES
 void BitSim::account_and_commit(bool account) {
   if (account) {
     const NetId n_nets = static_cast<NetId>(nl_.net_count());

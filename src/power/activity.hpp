@@ -25,9 +25,10 @@ namespace ahbp::power {
 /// Used instead of std::popcount, which on a target without a popcount
 /// instruction (the default x86-64 build) is an out-of-line libgcc
 /// call. GCC recognises this pattern: it emits a single popcnt wherever
-/// the code is compiled for a target that has one -- the whole build
-/// under AHBP_NATIVE=ON (-march=native), or a function marked
-/// AHBP_POPCNT_CLONES -- and inline shift/mask/multiply code elsewhere.
+/// the code is compiled for a target that has one -- a function marked
+/// AHBP_POPCNT_CLONES (PowerFsm::step, BitSim::account_and_commit), or
+/// a whole build configured for such a target (e.g. CXXFLAGS=-mpopcnt)
+/// -- and inline shift/mask/multiply code elsewhere.
 [[nodiscard]] constexpr unsigned popcount64(std::uint64_t x) {
   x = x - ((x >> 1) & 0x5555555555555555ull);
   x = (x & 0x3333333333333333ull) + ((x >> 2) & 0x3333333333333333ull);
@@ -42,8 +43,8 @@ namespace ahbp::power {
 /// instruction; CPUs without it run the baseline code. Both clones
 /// execute the same integer and floating-point operations, so results
 /// are bit-identical. Expands to nothing where the target already has
-/// POPCNT (AHBP_NATIVE=ON), where ifunc is unavailable (non-ELF or
-/// non-glibc), off x86-64, on compilers without target_clones, and under
+/// POPCNT, where ifunc is unavailable (non-ELF or non-glibc), off
+/// x86-64, on compilers without target_clones, and under
 /// ThreadSanitizer: GCC instruments the generated resolver with
 /// __tsan_func_entry, and the loader runs it before the TSan runtime is
 /// up, so the binary would crash before main().

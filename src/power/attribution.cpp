@@ -55,7 +55,7 @@ TransactionTracer::TransactionTracer(Config cfg)
   }
 }
 
-int TransactionTracer::start_txn(const CycleView& v, std::uint64_t cycle) {
+int TransactionTracer::start_txn(const ahb::CycleView& v, std::uint64_t cycle) {
   int slot = kNone;
   for (int i = 0; i < 2; ++i) {
     if (!open_[static_cast<std::size_t>(i)].live) {
@@ -120,7 +120,7 @@ void TransactionTracer::assign(double e, int slot) {
   }
 }
 
-void TransactionTracer::on_cycle(const CycleView& v, const BlockEnergy& e) {
+void TransactionTracer::on_cycle(const ahb::CycleView& v, const BlockEnergy& e) {
   if (!enabled_) return;
   const std::uint64_t cycle = cycle_++;
   const auto t = static_cast<ahb::Trans>(v.htrans & 3);

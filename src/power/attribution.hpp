@@ -77,7 +77,7 @@ public:
   explicit TransactionTracer(Config cfg);
 
   /// Observes one settled cycle and its per-block energies.
-  void on_cycle(const CycleView& v, const BlockEnergy& e);
+  void on_cycle(const ahb::CycleView& v, const BlockEnergy& e);
 
   /// Closes in-flight transactions (end = last seen cycle + 1) and
   /// publishes summary metrics (once). Idempotent per run.
@@ -120,7 +120,7 @@ private:
     bool live = false;
   };
 
-  [[nodiscard]] int start_txn(const CycleView& v, std::uint64_t cycle);
+  [[nodiscard]] int start_txn(const ahb::CycleView& v, std::uint64_t cycle);
   void close_txn(int slot, std::uint64_t end_tick);
   /// Credits `e` joules to the open transaction in `slot`, or to the
   /// synthetic bus owner when slot is kNone.

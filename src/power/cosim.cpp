@@ -3,11 +3,8 @@
 #include <cmath>
 
 #include "power/activity.hpp"
-#include "sim/report.hpp"
 
 namespace ahbp::power {
-
-using sim::SimError;
 
 // ---------------------------------------------------------------------------
 // CosimSeries
@@ -91,16 +88,12 @@ GateLevelCrossCheck::GateLevelCrossCheck(sim::Module* parent, std::string name,
       arb_nl_(gate::build_priority_arbiter(std::max(2u, bus.n_masters()))),
       arb_sim_(arb_nl_.nl, tech, gate::BitSim::Accounting::kPerLane),
       arb_model_(std::max(2u, bus.n_masters()), tech),
-      lane_prev_addr_(bus.n_masters(), 0),
-      proc_(this, "cosim", [this] { on_cycle(); }) {
-  if (!bus.finalized()) {
-    throw SimError("GateLevelCrossCheck: bus must be finalized first");
-  }
+      lane_prev_addr_(bus.n_masters(), 0) {
+  bus.subscribe(*this);
   pend_addr_.reserve(static_cast<std::size_t>(gate::BitSim::kLanes) *
                      bus.n_masters());
   pend_sel_.reserve(gate::BitSim::kLanes);
   pend_req_.reserve(gate::BitSim::kLanes);
-  proc_.sensitive(bus.clock().negedge_event()).dont_initialize();
 }
 
 const CosimSeries& GateLevelCrossCheck::mux_series() const {
@@ -194,17 +187,17 @@ void GateLevelCrossCheck::flush() {
   pend_req_.clear();
 }
 
-void GateLevelCrossCheck::on_cycle() {
+void GateLevelCrossCheck::post_cycle(const ahb::CycleView& v) {
   ++cycles_;
-  const ahb::BusSignals& b = bus_.bus();
   const unsigned n_masters = bus_.n_masters();
 
   // --- address-path mux ---------------------------------------------------
   // Buffer every master's live HADDR and the arbiter's HMASTER as select
   // for the gate mux (its output equals the bus address); the model is
-  // charged at once, the gate level when the batch flushes.
+  // charged at once, the gate level when the batch flushes. The view
+  // carries only the muxed HADDR; the per-master inputs come from the bus.
   unsigned hd_in = 0;
-  const std::uint8_t hm = b.hmaster.read();
+  const std::uint8_t hm = v.hmaster;
   for (unsigned m = 0; m < n_masters; ++m) {
     const std::uint32_t a = bus_.m2s().input(m).haddr.read();
     if (m == hm) hd_in = hamming(prev_master_addr_[m], a);
@@ -212,7 +205,7 @@ void GateLevelCrossCheck::on_cycle() {
     pend_addr_.push_back(a);
   }
 
-  const std::uint32_t addr_out = b.haddr.read();
+  const std::uint32_t addr_out = v.haddr;
   const unsigned hd_out = hamming(prev_addr_out_, addr_out);
   const unsigned hd_sel = hm != prev_hmaster_ ? 2u : 0u;
   prev_addr_out_ = addr_out;
@@ -220,7 +213,7 @@ void GateLevelCrossCheck::on_cycle() {
   mux_series_.model.push_back(mux_model_.energy(hd_in, hd_sel, hd_out));
 
   // --- arbiter -------------------------------------------------------------
-  const std::uint32_t req = bus_.arbiter().request_vector();
+  const std::uint32_t req = v.req_vector;
   const bool handover = hd_sel != 0;
   arb_series_.model.push_back(arb_model_.energy(hamming(prev_req_, req), handover));
   prev_req_ = req;

@@ -24,7 +24,6 @@
 #include "gate/synth.hpp"
 #include "power/macromodel.hpp"
 #include "sim/module.hpp"
-#include "sim/process.hpp"
 
 namespace ahbp::power {
 
@@ -41,8 +40,9 @@ struct CosimSeries {
   [[nodiscard]] double totals_ratio() const;
 };
 
-/// Runs the gate-level address mux and arbiter beside a live bus.
-class GateLevelCrossCheck : public sim::Module {
+/// Runs the gate-level address mux and arbiter beside a live bus, on its
+/// cycle samples.
+class GateLevelCrossCheck : public sim::Module, private ahb::CycleSubscriber {
 public:
   GateLevelCrossCheck(sim::Module* parent, std::string name, ahb::AhbBus& bus);
   GateLevelCrossCheck(sim::Module* parent, std::string name, ahb::AhbBus& bus,
@@ -56,7 +56,7 @@ public:
   [[nodiscard]] std::uint64_t cycles() const { return cycles_; }
 
 private:
-  void on_cycle();
+  void post_cycle(const ahb::CycleView& v) override;
   /// Drains buffered cycles into the series as a partial batch. The
   /// series accessors call this themselves; recording continues
   /// seamlessly afterwards.
@@ -89,7 +89,6 @@ private:
   std::vector<std::uint64_t> pin_words_;  ///< flush scratch, no per-batch alloc
 
   std::uint64_t cycles_ = 0;
-  sim::Method proc_;
 };
 
 }  // namespace ahbp::power

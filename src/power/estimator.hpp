@@ -2,12 +2,12 @@
 // AhbPowerEstimator: the methodology's "local model" integration style
 // (Fig. 1) and the library's main power-analysis entry point.
 //
-// A single monitor process is added beside the functional bus model; it
-// samples the settled bus signals once per cycle, feeds the power FSM,
-// and (optionally) builds windowed power telemetry. The functional model
-// is untouched, and when disabled the monitor costs one virtual call per
-// cycle -- the executable-specification equivalent of compiling without
-// the paper's POWERTEST define is simply not constructing the estimator.
+// The monitor subscribes beside the functional bus model to the bus's
+// one per-cycle sample (AhbBus::subscribe), feeds the power FSM, and
+// (optionally) builds windowed power telemetry. The functional model is
+// untouched -- the executable-specification equivalent of compiling
+// without the paper's POWERTEST define is simply not constructing the
+// estimator.
 //
 // Observability: with `telemetry_window_cycles` set, every sampled cycle
 // publishes its per-block energy into a cycle-windowed
@@ -24,20 +24,17 @@
 #include "power/attribution.hpp"
 #include "power/power_fsm.hpp"
 #include "sim/module.hpp"
-#include "sim/process.hpp"
 #include "telemetry/exporters.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/window.hpp"
 
 namespace ahbp::power {
 
-/// Samples a finalized AhbBus once per cycle and runs the power FSM.
-class AhbPowerEstimator : public sim::Module {
+/// Runs the power FSM on every cycle sample of a finalized AhbBus.
+class AhbPowerEstimator : public sim::Module, private ahb::CycleSubscriber {
 public:
   struct Config {
     gate::Technology tech = gate::Technology::default_2003();
-    /// Runtime bypass: when false, sampling returns immediately.
-    bool enabled = true;
     /// Window (in sampled bus cycles) for the telemetry series and the
     /// bus-instruction trace events; zero disables both.
     std::uint64_t telemetry_window_cycles = 0;
@@ -85,19 +82,11 @@ public:
   void flush_telemetry();
   ///@}
 
-  void set_enabled(bool on) { cfg_.enabled = on; }
-  [[nodiscard]] bool enabled() const { return cfg_.enabled; }
-
-  /// Builds the current settled-cycle view (also used by the other
-  /// integration styles and by tests).
-  [[nodiscard]] CycleView sample_view() const;
-
-  /// The clock of the monitored bus (used by downstream observers like
-  /// PowerGovernor to align their sampling).
-  [[nodiscard]] sim::Clock& bus_clock() const;
+  /// The monitored bus (PowerGovernor subscribes to it after us).
+  [[nodiscard]] ahb::AhbBus& bus() const { return bus_; }
 
 private:
-  void on_cycle();
+  void post_cycle(const ahb::CycleView& v) override;
 
   ahb::AhbBus& bus_;
   Config cfg_;
@@ -112,7 +101,6 @@ private:
   bool metrics_published_ = false;
   telemetry::Counter* c_cycles_ = nullptr;
   telemetry::Histogram* h_cycle_energy_ = nullptr;
-  sim::Method proc_;
 };
 
 }  // namespace ahbp::power

@@ -10,22 +10,19 @@ PowerGovernor::PowerGovernor(sim::Module* parent, std::string name,
     : Module(parent, std::move(name)),
       est_(est),
       cfg_(cfg),
-      throttle_(this, "throttle", false),
-      proc_(this, "watch", [this] { on_cycle(); }) {
+      throttle_(this, "throttle", false) {
   if (cfg_.budget_watts <= 0) throw sim::SimError("PowerGovernor: budget must be > 0");
   if (cfg_.window_cycles == 0) throw sim::SimError("PowerGovernor: window must be > 0");
-  // Run after the estimator's own negedge sampling (registration order
-  // within a delta does not matter: we only read accumulated energy).
-  proc_.sensitive(est.bus_clock().negedge_event()).dont_initialize();
+  est.bus().subscribe(*this);
 }
 
-void PowerGovernor::on_cycle() {
+void PowerGovernor::post_cycle(const ahb::CycleView&) {
   if (++cycles_in_window_ < cfg_.window_cycles) return;
 
   const double e = est_.total_energy();
   const double window_energy = e - window_start_energy_;
   const double window_seconds =
-      est_.bus_clock().period().to_seconds() * cfg_.window_cycles;
+      est_.bus().clock().period().to_seconds() * cfg_.window_cycles;
   const double p = window_energy / window_seconds;
 
   ++stats_.windows;

@@ -12,13 +12,14 @@
 
 #include "power/estimator.hpp"
 #include "sim/module.hpp"
-#include "sim/process.hpp"
 #include "sim/signal.hpp"
 
 namespace ahbp::power {
 
-/// Watches windowed bus power and throttles cooperative masters.
-class PowerGovernor : public sim::Module {
+/// Watches windowed bus power and throttles cooperative masters. It
+/// subscribes to the estimator's bus after the estimator, so each
+/// cycle's post sees the energy including that cycle.
+class PowerGovernor : public sim::Module, private ahb::CycleSubscriber {
 public:
   struct Config {
     double budget_watts = 1e-3;  ///< windowed average power ceiling
@@ -42,7 +43,7 @@ public:
   [[nodiscard]] const Config& config() const { return cfg_; }
 
 private:
-  void on_cycle();
+  void post_cycle(const ahb::CycleView&) override;
 
   AhbPowerEstimator& est_;
   Config cfg_;
@@ -51,7 +52,6 @@ private:
   double window_start_energy_ = 0.0;
   unsigned cycles_in_window_ = 0;
   double power_sum_ = 0.0;
-  sim::Method proc_;
 };
 
 }  // namespace ahbp::power

@@ -8,7 +8,7 @@
 //   PowerFsm                       -- instruction-level power FSM
 //   AhbPowerEstimator              -- "local" integration style (main API)
 //   PrivatePowerModel              -- "private" per-block style
-//   GlobalPowerAnalyzer + probe    -- "global" analyzer-module style
+//   GlobalPowerAnalyzer            -- "global" analyzer-module style
 //   TransactionTracer,
 //   EnergyAttributor               -- per-transaction energy attribution
 //   report.hpp                     -- Table 1 / Figs 3-6 rendering

@@ -55,7 +55,7 @@ void PowerFsm::reset() {
   activity_.reset();
   mode_ = BusMode::kIdle;
   first_cycle_ = true;
-  prev_ = CycleView{};
+  prev_ = ahb::CycleView{};
   cycles_ = 0;
   blocks_ = BlockEnergy{};
   master_energy_.assign(cfg_.n_masters, 0.0);
@@ -101,7 +101,7 @@ std::map<std::string, PowerFsm::InstrStats> PowerFsm::instructions() const {
   return out;
 }
 
-BusMode PowerFsm::classify(const CycleView& v, bool handover) const {
+BusMode PowerFsm::classify(const ahb::CycleView& v, bool handover) const {
   if (v.data_active) return v.data_write ? BusMode::kWrite : BusMode::kRead;
   // No data transfer this cycle: is arbitration working? Either the
   // ownership moved, or a non-owner is requesting (the grant is being
@@ -114,7 +114,7 @@ BusMode PowerFsm::classify(const CycleView& v, bool handover) const {
   return BusMode::kIdle;
 }
 
-void PowerFsm::step_repeated(const CycleView& v, std::uint64_t n) {
+void PowerFsm::step_repeated(const ahb::CycleView& v, std::uint64_t n) {
   if (n == 0) return;
   step(v);
   if (n == 1) return;
@@ -143,7 +143,7 @@ void PowerFsm::step_repeated(const CycleView& v, std::uint64_t n) {
 // The per-cycle kernel: nine popcounts a cycle, so it carries the
 // POPCNT clone (see AHBP_POPCNT_CLONES in activity.hpp).
 AHBP_POPCNT_CLONES
-PowerFsm::StepResult PowerFsm::step(const CycleView& v) {
+PowerFsm::StepResult PowerFsm::step(const ahb::CycleView& v) {
   ++cycles_;
 
   // --- instrumentation: store per-signal switching activity -------------

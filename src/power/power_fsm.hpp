@@ -16,6 +16,7 @@
 #include <string_view>
 #include <vector>
 
+#include "ahb/cycle_view.hpp"
 #include "gate/tech.hpp"
 #include "power/activity.hpp"
 #include "power/macromodel.hpp"
@@ -49,31 +50,6 @@ struct BlockEnergy {
     s2m += o.s2m;
     return *this;
   }
-};
-
-/// One cycle's settled bus values, as sampled by the instrumentation.
-struct CycleView {
-  std::uint32_t haddr = 0;
-  std::uint8_t htrans = 0;
-  bool hwrite = false;
-  std::uint8_t hsize = 0;
-  std::uint8_t hburst = 0;
-  std::uint32_t hwdata = 0;
-  std::uint32_t hrdata = 0;
-  bool hready = true;
-  std::uint8_t hresp = 0;
-  std::uint8_t hmaster = 0;
-  std::uint8_t hmaster_data = 0;  ///< data-phase bus owner
-  std::uint8_t data_slave = 0xFF;
-  bool data_active = false;
-  bool data_write = false;
-  std::uint32_t req_vector = 0;    ///< HBUSREQx, bit per master
-  std::uint32_t grant_vector = 0;  ///< HGRANTx, bit per master
-  /// Split-masked masters (arbiter HSPLITx mask, bit per master). A
-  /// masked master's pending request is *not* arbitration work -- the
-  /// arbiter ignores it until resume -- so it must not classify the
-  /// cycle as IDLE_HO.
-  std::uint32_t split_vector = 0;
 };
 
 /// The instruction-level power model of the AHB bus.
@@ -117,14 +93,14 @@ public:
   explicit PowerFsm(Config cfg);
 
   /// Classifies and accounts one bus cycle.
-  StepResult step(const CycleView& v);
+  StepResult step(const ahb::CycleView& v);
 
   /// Accounts `n` consecutive cycles with the *same* view. After the
   /// first repetition all Hamming distances are zero, so the remaining
   /// cycles cost a constant steady-state energy and add zero-HD activity
   /// samples -- this accounts them in O(1) instead of O(n). Used by the
   /// transaction-level fast model.
-  void step_repeated(const CycleView& v, std::uint64_t n);
+  void step_repeated(const ahb::CycleView& v, std::uint64_t n);
 
   /// @name Results
   ///@{
@@ -161,7 +137,7 @@ public:
   void reset();
 
 private:
-  [[nodiscard]] BusMode classify(const CycleView& v, bool handover) const;
+  [[nodiscard]] BusMode classify(const ahb::CycleView& v, bool handover) const;
 
   Config cfg_;
   DecoderModel dec_model_;
@@ -189,7 +165,7 @@ private:
 
   BusMode mode_ = BusMode::kIdle;
   bool first_cycle_ = true;
-  CycleView prev_;
+  ahb::CycleView prev_;
   std::uint64_t cycles_ = 0;
   BlockEnergy blocks_;
   std::vector<double> master_energy_;

@@ -3,11 +3,11 @@
 //
 //   * private -- accounting code embedded per block, triggered by every
 //     signal event of that block (most intrusive, finest grained);
-//   * local   -- one added monitor FSM process per module: that is
-//     AhbPowerEstimator (see estimator.hpp);
+//   * local   -- one monitor FSM added beside the module, attached to its
+//     bus: that is AhbPowerEstimator (see estimator.hpp);
 //   * global  -- a separate analyzer module fed through an explicit
-//     reporting interface, knowing nothing about the bus internals
-//     (most reusable).
+//     reporting interface (ahb::CycleSubscriber), knowing nothing about
+//     the bus internals (most reusable).
 
 #include <cstdint>
 #include <memory>
@@ -71,42 +71,15 @@ private:
   std::unique_ptr<sim::Method> arb_proc_;  ///< built after grants exist
 };
 
-/// The reporting interface of the "global model" style: whatever sits on
-/// the analyzer side only needs to implement this.
-class PowerReportIf {
-public:
-  virtual ~PowerReportIf() = default;
-  /// Delivers one cycle's activity record.
-  virtual void post_cycle(const CycleView& view) = 0;
-};
-
-/// Bus-side probe of the global style: a minimal process that packages
-/// the cycle view and posts it through the PowerReportIf. It contains no
-/// power knowledge at all.
-class BusActivityProbe : public sim::Module {
-public:
-  BusActivityProbe(sim::Module* parent, std::string name, ahb::AhbBus& bus,
-                   PowerReportIf& sink);
-
-  [[nodiscard]] std::uint64_t posted() const { return posted_; }
-
-private:
-  void on_cycle();
-
-  ahb::AhbBus& bus_;
-  PowerReportIf& sink_;
-  std::uint64_t posted_ = 0;
-  sim::Method proc_;
-};
-
 /// The analyzer side of the global style: a bus-agnostic module that
 /// turns posted activity records into energy via the power FSM. It could
-/// analyze any core that speaks PowerReportIf.
-class GlobalPowerAnalyzer : public sim::Module, public PowerReportIf {
+/// analyze any core that posts CycleViews; on an AhbBus, subscribe it
+/// (AhbBus::subscribe), and the bus itself is the probe.
+class GlobalPowerAnalyzer : public sim::Module, public ahb::CycleSubscriber {
 public:
   GlobalPowerAnalyzer(sim::Module* parent, std::string name, PowerFsm::Config cfg);
 
-  void post_cycle(const CycleView& view) override;
+  void post_cycle(const ahb::CycleView& view) override;
 
   [[nodiscard]] const PowerFsm& fsm() const { return fsm_; }
   [[nodiscard]] double total_energy() const { return fsm_.total_energy(); }

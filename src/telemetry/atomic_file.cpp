@@ -96,10 +96,4 @@ void AtomicFile::publish(const std::filesystem::path& path,
   }
 }
 
-void AtomicFile::commit() {
-  if (committed_) throw std::runtime_error("AtomicFile: double commit");
-  publish(path_, buf_.view());
-  committed_ = true;
-}
-
 }  // namespace ahbp::telemetry

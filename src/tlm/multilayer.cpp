@@ -51,7 +51,7 @@ bool MultilayerBus::transfer(unsigned master, std::uint32_t addr, bool write,
   if (m->busy_until > layer.cycles) {
     const std::uint64_t stall = m->busy_until - layer.cycles;
     contention_ += stall;
-    power::CycleView idle_v;
+    ahb::CycleView idle_v;
     idle_v.grant_vector = 1;
     layer.fsm->step_repeated(idle_v, stall);
     layer.cycles += stall;
@@ -61,7 +61,7 @@ bool MultilayerBus::transfer(unsigned master, std::uint32_t addr, bool write,
       write ? m->slave->write(addr - m->base, data) : m->slave->read(addr - m->base, data);
 
   // Account on this layer's fabric.
-  power::CycleView v;
+  ahb::CycleView v;
   v.haddr = addr;
   v.htrans = 2;
   v.hwrite = write;
@@ -76,7 +76,7 @@ bool MultilayerBus::transfer(unsigned master, std::uint32_t addr, bool write,
     v.hrdata = data;
   }
   for (unsigned w = 0; w < waits; ++w) {
-    power::CycleView stall = v;
+    ahb::CycleView stall = v;
     stall.hready = false;
     layer.fsm->step(stall);
     ++layer.cycles;
@@ -98,7 +98,7 @@ bool MultilayerBus::write(unsigned master, std::uint32_t addr, std::uint32_t dat
 
 void MultilayerBus::idle(unsigned master, unsigned n) {
   Layer& layer = layers_.at(master);
-  power::CycleView v;
+  ahb::CycleView v;
   v.grant_vector = 1;
   layer.fsm->step_repeated(v, n);
   layer.cycles += n;

@@ -38,7 +38,7 @@ void TlmBus::account_transfer(unsigned master, std::uint32_t addr, bool write,
   // Synthesize the cycle views the cycle-accurate monitor would have
   // sampled: wait cycles repeat the same data phase, then one completing
   // cycle carries the payload.
-  power::CycleView v;
+  ahb::CycleView v;
   v.haddr = addr;
   v.htrans = 2;  // NONSEQ
   v.hwrite = write;
@@ -54,7 +54,7 @@ void TlmBus::account_transfer(unsigned master, std::uint32_t addr, bool write,
     v.hrdata = data;
   }
   for (unsigned w = 0; w < wait_cycles; ++w) {
-    power::CycleView stall = v;
+    ahb::CycleView stall = v;
     stall.hready = false;
     fsm_.step(stall);
     ++cycles_;
@@ -93,7 +93,7 @@ bool TlmBus::write(unsigned master, std::uint32_t addr, std::uint32_t data) {
 }
 
 void TlmBus::idle(unsigned n, std::uint32_t pending_requests) {
-  power::CycleView v;
+  ahb::CycleView v;
   v.hmaster = last_master_;
   v.grant_vector = 1u << last_master_;
   v.req_vector = pending_requests;

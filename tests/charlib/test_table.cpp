@@ -99,7 +99,7 @@ TEST(Table, CharacterizationBridgeRoundTrip) {
   power::PowerFsm::Config cfg{.n_masters = 3, .n_slaves = 4};
   cfg.m2s_coefficients = back.mux_coefficients("m2s");
   power::PowerFsm fsm(cfg);
-  power::CycleView v;
+  ahb::CycleView v;
   v.data_active = true;
   v.haddr = 0xFF;
   fsm.step(v);

@@ -12,6 +12,7 @@ namespace ahbp::power {
 namespace {
 
 using ahb::AhbBus;
+using ahb::CycleView;
 using ahb::DefaultMaster;
 using ahb::MemorySlave;
 using ahb::TrafficMaster;

@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <vector>
+
 #include "ahb/ahb.hpp"
 #include "power/power.hpp"
 #include "sim/sim.hpp"
@@ -60,23 +63,6 @@ TEST(Estimator, AccumulatesEnergyOverRun) {
   // The clock's first falling edge is at 15 ns, so a 10 us run samples
   // 999 full cycles.
   EXPECT_GE(b.est->fsm().cycles(), 999u);
-}
-
-TEST(Estimator, DisabledEstimatorAccumulatesNothing) {
-  PowerBench b(AhbPowerEstimator::Config{.enabled = false});
-  b.run_cycles(500);
-  EXPECT_DOUBLE_EQ(b.est->total_energy(), 0.0);
-  EXPECT_EQ(b.est->fsm().cycles(), 0u);
-}
-
-TEST(Estimator, ReenableMidRun) {
-  PowerBench b(AhbPowerEstimator::Config{.enabled = false});
-  b.run_cycles(200);
-  EXPECT_EQ(b.est->fsm().cycles(), 0u);
-  b.est->set_enabled(true);
-  b.run_cycles(200);
-  EXPECT_EQ(b.est->fsm().cycles(), 200u);
-  EXPECT_GT(b.est->total_energy(), 0.0);
 }
 
 TEST(Estimator, PaperShapeDataPathDominatesArbitration) {
@@ -165,19 +151,83 @@ TEST(Estimator, NoTraceByDefault) {
   b.est->flush_telemetry();  // no-op, no crash
 }
 
+/// The two FSMs agree bit for bit: total energy, the per-instruction
+/// table and the activity report.
+void expect_identical(const PowerFsm& a, const PowerFsm& b) {
+  EXPECT_EQ(a.cycles(), b.cycles());
+  EXPECT_EQ(a.total_energy(), b.total_energy());
+  const auto ta = a.instructions();
+  const auto tb = b.instructions();
+  ASSERT_EQ(ta.size(), tb.size());
+  for (const auto& [name, st] : ta) {
+    ASSERT_TRUE(tb.count(name)) << name;
+    EXPECT_EQ(st.count, tb.at(name).count) << name;
+    EXPECT_EQ(st.energy, tb.at(name).energy) << name;
+  }
+  EXPECT_EQ(format_activity_report(a.activity()),
+            format_activity_report(b.activity()));
+}
+
 TEST(Styles, LocalAndGlobalAgreeExactly) {
-  // The global analyzer runs the same FSM on the same per-cycle views, so
-  // the two styles must produce identical energy.
+  // The global analyzer runs the same FSM on the bus's one per-cycle
+  // sample, so the two styles must produce identical energy.
   PowerBench b;
   GlobalPowerAnalyzer analyzer(
       &b.top, "analyzer",
       PowerFsm::Config{.n_masters = b.bus.n_masters(), .n_slaves = b.bus.n_slaves()});
-  BusActivityProbe probe(&b.top, "probe", b.bus, analyzer);
+  b.bus.subscribe(analyzer);
   b.run_cycles(2000);
   EXPECT_GT(analyzer.total_energy(), 0.0);
-  EXPECT_NEAR(analyzer.total_energy(), b.est->total_energy(),
-              b.est->total_energy() * 1e-12);
-  EXPECT_GE(probe.posted(), 1999u);
+  EXPECT_EQ(analyzer.total_energy(), b.est->total_energy());
+  EXPECT_GE(analyzer.fsm().cycles(), 1999u);
+  expect_identical(analyzer.fsm(), b.est->fsm());
+}
+
+TEST(Styles, LocalAndGlobalAgreeExactlyUnderSplit) {
+  // SPLIT traffic (the rig of Attribution.SplitReworkConservesEnergy):
+  // masked masters keep requesting, so the view's split vector decides
+  // IDLE vs IDLE_HO. Both styles read it from the same sample.
+  sim::Kernel k;
+  sim::Module top(nullptr, "top");
+  sim::Clock clk(&top, "clk", sim::SimTime::ns(10), 0.5, sim::SimTime::ns(10));
+  AhbBus bus(&top, "ahb", clk);
+  DefaultMaster dm(&top, "dm", bus);
+  std::vector<ahb::ScriptedMaster::Op> script;
+  for (int i = 0; i < 24; ++i) {
+    script.push_back({i % 2 ? ahb::ScriptedMaster::Op::Kind::kRead
+                            : ahb::ScriptedMaster::Op::Kind::kWrite,
+                      0x100u + 4u * static_cast<std::uint32_t>(i / 2),
+                      0xC0DE0000u + static_cast<std::uint32_t>(i), 0});
+  }
+  ahb::ScriptedMaster m1(&top, "m1", bus, script,
+                         ahb::ScriptedMaster::Options{.retry = true,
+                                                      .max_retries = 8});
+  TrafficMaster m2(&top, "m2", bus,
+                   {.addr_base = 0x1000, .addr_range = 0x1000, .seed = 72});
+  MemorySlave s1(&top, "s1", bus,
+                 {.base = 0x0000,
+                  .size = 0x1000,
+                  .fault_hook = [](const ahb::FaultQuery& q) {
+                    ahb::FaultDecision d;
+                    if (q.transfer_index % 3 == 1) {
+                      d.resp = ahb::Resp::kSplit;
+                      d.split_resume_cycles = 3;
+                    }
+                    return d;
+                  }});
+  MemorySlave s2(&top, "s2", bus, {.base = 0x1000, .size = 0x1000});
+  bus.finalize();
+  AhbPowerEstimator est(&top, "power", bus);
+  GlobalPowerAnalyzer analyzer(
+      &top, "analyzer",
+      PowerFsm::Config{.n_masters = bus.n_masters(), .n_slaves = bus.n_slaves()});
+  bus.subscribe(analyzer);
+  k.run(sim::SimTime::us(30));
+
+  ASSERT_TRUE(m1.finished());
+  EXPECT_GT(m1.splits(), 0u);
+  EXPECT_GT(analyzer.total_energy(), 0.0);
+  expect_identical(analyzer.fsm(), est.fsm());
 }
 
 TEST(Styles, PrivateStyleSameOrderOfMagnitude) {
@@ -201,7 +251,7 @@ TEST(Styles, GlobalAnalyzerIsBusAgnostic) {
   sim::Module top(nullptr, "top");
   GlobalPowerAnalyzer analyzer(&top, "an",
                                PowerFsm::Config{.n_masters = 2, .n_slaves = 2});
-  CycleView v;
+  ahb::CycleView v;
   v.data_active = true;
   v.data_write = true;
   v.haddr = 0xFF;
@@ -225,6 +275,84 @@ TEST(Estimator, PaperRigKernelActivityPerCycle) {
   EXPECT_EQ(st.timed_notifications, 0u);
   EXPECT_EQ(b.kernel.delta_count(), 5491u);
   EXPECT_TRUE(mon.violations().empty());
+}
+
+TEST(CycleStream, ExtraSubscribersAddNoProcessActivations) {
+  // The analyzer, the recorder, the gate-level cross-check and the
+  // governor all read the bus's one sample inside its sampling process:
+  // none runs a process of its own.
+  std::uint64_t alone = 0;
+  {
+    PowerBench b;
+    b.run_cycles(1000);
+    alone = b.kernel.stats().processes_executed;
+  }
+  PowerBench b;
+  GlobalPowerAnalyzer analyzer(
+      &b.top, "analyzer",
+      PowerFsm::Config{.n_masters = b.bus.n_masters(), .n_slaves = b.bus.n_slaves()});
+  b.bus.subscribe(analyzer);
+  ahb::TraceRecorder recorder(&b.top, "recorder", b.bus);
+  GateLevelCrossCheck cosim(&b.top, "cosim", b.bus);
+  PowerGovernor governor(&b.top, "governor", *b.est, PowerGovernor::Config{});
+  b.run_cycles(1000);
+
+  EXPECT_EQ(b.kernel.stats().processes_executed, alone);
+  const std::uint64_t cycles = b.est->fsm().cycles();
+  EXPECT_EQ(analyzer.fsm().cycles(), cycles);
+  EXPECT_EQ(cosim.cycles(), cycles);
+  EXPECT_EQ(governor.stats().windows, cycles / 32);
+  EXPECT_GT(recorder.trace().size(), 0u);
+}
+
+/// Counts its views into a counter that outlives it.
+struct CountingSubscriber : ahb::CycleSubscriber {
+  explicit CountingSubscriber(std::uint64_t& n) : posts(n) {}
+  void post_cycle(const ahb::CycleView&) override { ++posts; }
+  std::uint64_t& posts;
+};
+
+TEST(CycleStream, DestroyedSubscriberStopsWhileOthersGoOn) {
+  PowerBench b;  // the estimator subscribes first and creates the tap
+  std::uint64_t first_posts = 0;
+  std::uint64_t second_posts = 0;
+  auto first = std::make_unique<CountingSubscriber>(first_posts);
+  CountingSubscriber second(second_posts);
+  b.bus.subscribe(*first);
+  b.bus.subscribe(second);
+  EXPECT_THROW(b.bus.subscribe(second), sim::SimError);
+  b.run_cycles(100);
+  const std::uint64_t seen = first_posts;
+  EXPECT_EQ(seen, b.est->fsm().cycles());
+
+  first.reset();
+  b.run_cycles(100);
+  EXPECT_EQ(first_posts, seen);
+  EXPECT_EQ(second_posts, b.est->fsm().cycles());
+
+  // The subscriber that created the tap can leave too.
+  const std::uint64_t before = second_posts;
+  b.est.reset();
+  b.run_cycles(100);
+  EXPECT_EQ(second_posts, before + 100);
+}
+
+TEST(CycleStream, SubscriberMayOutliveItsBus) {
+  sim::Kernel k;
+  sim::Module top(nullptr, "top");
+  sim::Clock clk(&top, "clk", sim::SimTime::ns(10));
+  std::uint64_t posts = 0;
+  CountingSubscriber sub(posts);
+  {
+    AhbBus bus(&top, "ahb", clk);
+    DefaultMaster dm(&top, "dm", bus);
+    EXPECT_THROW(bus.subscribe(sub), sim::SimError);  // not finalized
+    bus.finalize();
+    bus.subscribe(sub);
+    k.run(sim::SimTime::ns(100));
+  }
+  EXPECT_GT(posts, 0u);
+  // `sub` is destroyed after its bus; it must not detach from it.
 }
 
 }  // namespace

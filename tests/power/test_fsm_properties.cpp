@@ -11,6 +11,8 @@
 namespace ahbp::power {
 namespace {
 
+using ahb::CycleView;
+
 struct Shape {
   unsigned masters;
   unsigned slaves;

@@ -11,6 +11,8 @@
 namespace ahbp::power {
 namespace {
 
+using ahb::CycleView;
+
 PowerFsm::Config small_cfg() {
   return PowerFsm::Config{.n_masters = 3, .n_slaves = 4};
 }

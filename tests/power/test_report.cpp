@@ -15,6 +15,8 @@
 namespace ahbp::power {
 namespace {
 
+using ahb::CycleView;
+
 TEST(Format, Energy) {
   EXPECT_EQ(format_energy(0.0), "0 J");
   EXPECT_EQ(format_energy(14.7e-12), "14.70 pJ");

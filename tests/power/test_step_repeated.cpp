@@ -14,6 +14,8 @@
 namespace ahbp::power {
 namespace {
 
+using ahb::CycleView;
+
 PowerFsm::Config cfg3x4() { return PowerFsm::Config{.n_masters = 3, .n_slaves = 4}; }
 
 CycleView busy_view() {

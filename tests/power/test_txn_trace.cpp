@@ -16,6 +16,7 @@
 namespace ahbp::power {
 namespace {
 
+using ahb::CycleView;
 using ahb::FaultySlave;
 using ahb::ScriptedMaster;
 using ahb::test::Bench;

@@ -51,37 +51,21 @@ class AtomicFileTest : public ::testing::Test {
 
 TEST_F(AtomicFileTest, CommitPublishesExactBytes) {
   const fs::path target = dir_ / "out.json";
-  AtomicFile f(target);
-  f.stream() << "{\"a\": 1}\n";
-  f.commit();
+  AtomicFile::publish(target, "{\"a\": 1}\n");
   EXPECT_EQ(slurp(target), "{\"a\": 1}\n");
-  EXPECT_EQ(extra_entries(target), 0u);
-}
-
-TEST_F(AtomicFileTest, UncommittedLeavesDestinationUntouched) {
-  const fs::path target = dir_ / "out.json";
-  {
-    AtomicFile f(target);
-    f.stream() << "never published";
-  }
-  EXPECT_FALSE(fs::exists(target));
   EXPECT_EQ(extra_entries(target), 0u);
 }
 
 TEST_F(AtomicFileTest, CommitReplacesPreviousContentWholly) {
   const fs::path target = dir_ / "out.json";
   ASSERT_TRUE(AtomicFile::write(target, "old content, rather long"));
-  AtomicFile f(target);
-  f.stream() << "new";
-  f.commit();
+  AtomicFile::publish(target, "new");
   EXPECT_EQ(slurp(target), "new");
 }
 
 TEST_F(AtomicFileTest, CreatesMissingParentDirectories) {
   const fs::path target = dir_ / "a" / "b" / "out.csv";
-  AtomicFile f(target);
-  f.stream() << "x,y\n";
-  f.commit();
+  AtomicFile::publish(target, "x,y\n");
   EXPECT_EQ(slurp(target), "x,y\n");
 }
 
@@ -94,16 +78,14 @@ TEST_F(AtomicFileTest, StaticWriteRoundTrips) {
 }
 
 TEST_F(AtomicFileTest, FailureReportsErrorAndLeavesNoArtifact) {
-  // The "directory" component is a regular file: commit cannot succeed.
+  // The "directory" component is a regular file: no write can succeed.
   const fs::path blocker = dir_ / "blocker";
   ASSERT_TRUE(AtomicFile::write(blocker, "file, not dir"));
   const fs::path target = blocker / "out.json";
   std::string error;
   EXPECT_FALSE(AtomicFile::write(target, "content", &error));
   EXPECT_FALSE(error.empty());
-  AtomicFile f(target);
-  f.stream() << "content";
-  EXPECT_THROW(f.commit(), std::runtime_error);
+  EXPECT_THROW(AtomicFile::publish(target, "content"), std::runtime_error);
 }
 
 TEST_F(AtomicFileTest, ConcurrentWritersOfOnePathBothSucceed) {

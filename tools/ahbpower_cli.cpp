@@ -850,17 +850,17 @@ int main(int argc, char** argv) {
   }
   if (!o.csv.empty()) {
     emit_or_die([&] {
-      telemetry::AtomicFile file(o.csv);
-      power::write_trace_csv(file.stream(), *est.windows(), clk.period());
-      file.commit();
+      std::ostringstream csv;
+      power::write_trace_csv(csv, *est.windows(), clk.period());
+      telemetry::AtomicFile::publish(o.csv, csv.view());
     });
     std::printf("\npower trace written to %s\n", o.csv.c_str());
   }
   if (recorder) {
     emit_or_die([&] {
-      telemetry::AtomicFile file(o.trace_out);
-      recorder->trace().save(file.stream());
-      file.commit();
+      std::ostringstream trace;
+      recorder->trace().save(trace);
+      telemetry::AtomicFile::publish(o.trace_out, trace.view());
     });
     std::printf("transaction trace (%zu transfers) written to %s\n",
                 recorder->trace().size(), o.trace_out.c_str());
