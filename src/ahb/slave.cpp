@@ -174,89 +174,6 @@ void MemorySlave::on_clock() {
 }
 
 // ---------------------------------------------------------------------------
-// FaultySlave
-
-FaultySlave::FaultySlave(sim::Module* parent, std::string name, AhbBus& bus,
-                         Config cfg)
-    : AhbSlave(parent, std::move(name), bus, cfg.base, cfg.size),
-      cfg_(cfg),
-      proc_(this, "clocked", [this] { on_clock(); }) {
-  if (cfg_.size == 0 || cfg_.size % 4 != 0) {
-    throw SimError("FaultySlave: size must be a positive multiple of 4");
-  }
-  if (cfg_.fail_every_n == 0) throw SimError("FaultySlave: fail_every_n must be > 0");
-  if (cfg_.failure != Resp::kRetry && cfg_.failure != Resp::kError &&
-      cfg_.failure != Resp::kSplit) {
-    throw SimError("FaultySlave: failure response must be RETRY, ERROR or SPLIT");
-  }
-  if (cfg_.failure == Resp::kSplit && cfg_.split_resume_cycles == 0) {
-    throw SimError("FaultySlave: split_resume_cycles must be > 0");
-  }
-  proc_.sensitive(clock().posedge_event()).dont_initialize();
-}
-
-std::uint32_t FaultySlave::peek(std::uint32_t addr) const {
-  const auto it = mem_.find(addr / 4);
-  return it == mem_.end() ? 0 : it->second;
-}
-
-void FaultySlave::on_clock() {
-  BusSignals& bus = bus_signals();
-
-  if (!pending_resumes_.empty()) tick_resumes(pending_resumes_, bus_.arbiter());
-
-  switch (phase_) {
-    case Phase::kData:
-      // Successful data phase ended at this edge: commit the operation.
-      if (op_write_) {
-        mem_[(op_addr_ - cfg_.base) / 4] = bus.hwdata.read();
-        ++stats_.ok_writes;
-      } else {
-        ++stats_.ok_reads;
-      }
-      phase_ = Phase::kIdle;
-      break;
-    case Phase::kFail1:
-      // First failure cycle (HREADY low, HRESP set) done: raise HREADY.
-      sig_.hreadyout.write(true);
-      phase_ = Phase::kFail2;
-      return;  // cannot accept a new address phase mid-response
-    case Phase::kFail2:
-      // Second failure cycle done: back to OKAY.
-      sig_.hresp.write(raw(Resp::kOkay));
-      ++stats_.failures;
-      phase_ = Phase::kIdle;
-      break;
-    case Phase::kIdle:
-      break;
-  }
-
-  const bool accept = selected() &&
-                      is_active(static_cast<Trans>(bus.htrans.read())) &&
-                      bus.hready.read();
-  if (!accept) return;
-
-  ++accepted_;
-  op_write_ = bus.hwrite.read();
-  op_addr_ = bus.haddr.read();
-  if (accepted_ % cfg_.fail_every_n == 0) {
-    if (cfg_.failure == Resp::kSplit) {
-      // Mask the owner that issued this address phase; schedule the
-      // HSPLITx resume.
-      const unsigned m = bus.hmaster.read();
-      bus_.arbiter().split(m);
-      pending_resumes_.emplace_back(m, cfg_.split_resume_cycles);
-    }
-    sig_.hresp.write(raw(cfg_.failure));
-    sig_.hreadyout.write(false);
-    phase_ = Phase::kFail1;
-  } else {
-    if (!op_write_) sig_.hrdata.write(peek(op_addr_ - cfg_.base));
-    phase_ = Phase::kData;
-  }
-}
-
-// ---------------------------------------------------------------------------
 // DefaultSlave
 
 DefaultSlave::DefaultSlave(sim::Module* parent, std::string name, AhbBus& bus)

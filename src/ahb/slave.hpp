@@ -124,56 +124,9 @@ private:
   std::uint32_t op_addr_ = 0;
   unsigned waits_left_ = 0;
 
-  // Two-cycle fault-response machine (mirrors FaultySlave's phases).
+  // Two-cycle fault-response machine.
   enum class RespPhase { kNone, kFail1, kFail2 } resp_phase_ = RespPhase::kNone;
   std::uint64_t transfer_index_ = 0;
-  /// Outstanding HSPLITx resumes: {master index, cycles until resume}.
-  std::vector<std::pair<unsigned, unsigned>> pending_resumes_;
-
-  sim::Method proc_;
-};
-
-/// A fault-injecting memory slave: behaves like a zero-wait MemorySlave
-/// except that every `fail_every_n`-th accepted transfer receives a
-/// two-cycle non-OKAY response (RETRY, ERROR or SPLIT) instead of
-/// completing. Failed transfers do not touch memory; the master is
-/// expected to re-issue RETRYed/SPLIT transfers (see
-/// ScriptedMaster::Options::retry). A SPLIT response masks the
-/// requesting master at the arbiter and resumes it (HSPLITx)
-/// `split_resume_cycles` later.
-class FaultySlave final : public AhbSlave {
-public:
-  struct Config {
-    std::uint32_t base = 0;
-    std::uint32_t size = 1024;
-    unsigned fail_every_n = 3;   ///< 1 = every transfer fails
-    Resp failure = Resp::kRetry; ///< kRetry, kError or kSplit
-    /// For kSplit: cycles from the SPLIT response to the HSPLITx resume.
-    unsigned split_resume_cycles = 4;
-  };
-
-  struct Stats {
-    std::uint64_t ok_reads = 0;
-    std::uint64_t ok_writes = 0;
-    std::uint64_t failures = 0;
-  };
-
-  FaultySlave(sim::Module* parent, std::string name, AhbBus& bus, Config cfg);
-
-  [[nodiscard]] std::uint32_t peek(std::uint32_t addr) const;
-  [[nodiscard]] const Stats& stats() const { return stats_; }
-
-private:
-  void on_clock();
-
-  Config cfg_;
-  Stats stats_;
-  std::unordered_map<std::uint32_t, std::uint32_t> mem_;
-  std::uint64_t accepted_ = 0;
-
-  enum class Phase { kIdle, kData, kFail1, kFail2 } phase_ = Phase::kIdle;
-  bool op_write_ = false;
-  std::uint32_t op_addr_ = 0;
   /// Outstanding HSPLITx resumes: {master index, cycles until resume}.
   std::vector<std::pair<unsigned, unsigned>> pending_resumes_;
 

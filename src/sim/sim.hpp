@@ -7,7 +7,6 @@
 //   Event            -- notification primitive
 //   Method, Thread   -- callback and coroutine processes
 //   Signal<T>        -- delta-cycle channel; Clock -- waveform source
-//   In<T>, Out<T>    -- late-bound ports
 //   VcdWriter        -- waveform dumping
 //   Reporter         -- severity-tagged diagnostics
 
@@ -16,7 +15,6 @@
 #include "sim/kernel.hpp"
 #include "sim/module.hpp"
 #include "sim/object.hpp"
-#include "sim/port.hpp"
 #include "sim/process.hpp"
 #include "sim/report.hpp"
 #include "sim/signal.hpp"

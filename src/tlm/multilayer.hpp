@@ -10,10 +10,11 @@
 // introduction poses: what does the extra parallel datapath cost in
 // power, and what does it buy in throughput?
 //
-// Modeling choices: per-layer power FSMs (each layer is a full
-// address/data mux structure -- that is the power price of the
-// topology), per-slave busy tracking for contention, global time =
-// max over layers (layers run in parallel).
+// Modeling choices: each layer is a TlmBus of its own, driven as master
+// 0 of a 2-input fabric with every slave mapped, so it has a full
+// address/data mux structure and power FSM -- that is the power price
+// of the topology. Per-slave busy tracking adds the contention; global
+// time = max over layers (layers run in parallel).
 
 #include <cstdint>
 #include <memory>
@@ -43,47 +44,34 @@ public:
   bool write(unsigned master, std::uint32_t addr, std::uint32_t data);
 
   /// Advances `n` idle cycles on one layer.
-  void idle(unsigned master, unsigned n);
+  void idle(unsigned master, unsigned n) { layers_.at(master)->idle(n); }
 
   /// @name Results
   ///@{
   /// Global elapsed cycles: the slowest layer (layers run in parallel).
   [[nodiscard]] std::uint64_t cycles() const;
   [[nodiscard]] std::uint64_t layer_cycles(unsigned master) const {
-    return layers_.at(master).cycles;
+    return layers_.at(master)->cycles();
   }
   /// Total energy across every layer's fabric.
   [[nodiscard]] double total_energy() const;
   [[nodiscard]] const power::PowerFsm& layer_fsm(unsigned master) const {
-    return *layers_.at(master).fsm;
+    return layers_.at(master)->fsm();
   }
-  [[nodiscard]] std::uint64_t transfers() const { return transfers_; }
+  [[nodiscard]] std::uint64_t transfers() const;
   /// Cycles lost to same-slave contention, summed over layers.
   [[nodiscard]] std::uint64_t contention_cycles() const { return contention_; }
   ///@}
 
 private:
-  struct Mapping {
-    std::uint32_t base;
-    std::uint32_t size;
-    TlmSlave* slave;
-    std::uint64_t busy_until = 0;  ///< global cycle the slave frees up
-  };
-  struct Layer {
-    std::unique_ptr<power::PowerFsm> fsm;
-    std::uint64_t cycles = 0;
-  };
+  /// Runs `access` on `master`'s layer once the addressed slave's input
+  /// stage is free, then holds the slave until the transfer completes.
+  template <typename Access>
+  bool transfer(unsigned master, std::uint32_t addr, Access access);
 
-  [[nodiscard]] Mapping* decode(std::uint32_t addr);
-  bool transfer(unsigned master, std::uint32_t addr, bool write,
-                std::uint32_t& data);
-
-  Config cfg_;
-  std::vector<Mapping> map_;
-  std::vector<Layer> layers_;
-  std::uint64_t transfers_ = 0;
+  std::vector<std::unique_ptr<TlmBus>> layers_;
+  std::vector<std::uint64_t> busy_until_;  ///< per slave: cycle it frees up
   std::uint64_t contention_ = 0;
-  std::uint64_t errors_ = 0;
 };
 
 }  // namespace ahbp::tlm

@@ -92,7 +92,7 @@ bool TlmBus::write(unsigned master, std::uint32_t addr, std::uint32_t data) {
   return true;
 }
 
-void TlmBus::idle(unsigned n, std::uint32_t pending_requests) {
+void TlmBus::idle(std::uint64_t n, std::uint32_t pending_requests) {
   ahb::CycleView v;
   v.hmaster = last_master_;
   v.grant_vector = 1u << last_master_;

@@ -14,6 +14,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <random>
 #include <vector>
 
@@ -84,7 +85,15 @@ public:
   bool write(unsigned master, std::uint32_t addr, std::uint32_t data);
 
   /// Advances `n` idle bus cycles (power FSM sees IDLE views).
-  void idle(unsigned n, std::uint32_t pending_requests = 0);
+  void idle(std::uint64_t n, std::uint32_t pending_requests = 0);
+
+  /// Index, in map() order, of the slave `addr` decodes to; empty when
+  /// the address is unmapped.
+  [[nodiscard]] std::optional<std::size_t> slave_index(std::uint32_t addr) const {
+    const Mapping* m = decode(addr);
+    if (m == nullptr) return std::nullopt;
+    return static_cast<std::size_t>(m - map_.data());
+  }
 
   /// @name Results
   ///@{

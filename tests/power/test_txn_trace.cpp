@@ -17,7 +17,7 @@ namespace ahbp::power {
 namespace {
 
 using ahb::CycleView;
-using ahb::FaultySlave;
+using ahb::MemorySlave;
 using ahb::ScriptedMaster;
 using ahb::test::Bench;
 using Op = ScriptedMaster::Op;
@@ -406,9 +406,10 @@ TEST(TxnTraceIntegration, RetriedTransferAppearsAsRework) {
   ahb::DefaultMaster dm(&b.top, "dm", b.bus);
   ScriptedMaster m(&b.top, "m", b.bus, {write_op(0x20, 0xBEEF), read_op(0x20)},
                    ScriptedMaster::Options{.retry = true});
-  FaultySlave fs(&b.top, "fs", b.bus,
-                 {.base = 0, .size = 0x1000, .fail_every_n = 2});
+  MemorySlave fs(&b.top, "fs", b.bus,
+                 {.base = 0, .size = 0x1000, .fault_hook = ahb::test::fail_every(2)});
   b.bus.finalize();
+  ahb::BusMonitor mon(&b.top, "mon", b.bus, ahb::BusMonitor::Config{.fatal = false});
   auto est = std::make_unique<AhbPowerEstimator>(
       &b.top, "power", b.bus, AhbPowerEstimator::Config{.txn_trace = true});
   b.run_cycles(200);
@@ -432,6 +433,17 @@ TEST(TxnTraceIntegration, RetriedTransferAppearsAsRework) {
   const double total = est->total_energy();
   const EnergyAttributor& a = tracer->attribution();
   EXPECT_NEAR(a.masters_total() + a.bus_energy(), total, 1e-9 * total);
+
+  // Golden outcome of this rig, bit for bit.
+  EXPECT_EQ(retries, 1u);
+  EXPECT_EQ(completed, 2u);
+  EXPECT_EQ(tracer->log().records().size(), 3u);
+  EXPECT_EQ(ahb::test::outcome(m, fs, mon),
+            "results 0:beef 0:beef | retries 1 splits 0 | slave w1 r1 f1"
+            " | mon c200 t3 r2 w1 wait1 idle197 ho2 err0 rty1 spl0 v0");
+  EXPECT_EQ(total, 0x1.867635c30377bp-35);
+  EXPECT_EQ(a.masters_total(), 0x1.77bbefe82b5fep-36);
+  EXPECT_EQ(a.bus_energy(), 0x1.95307b9ddb8f5p-36);
 }
 
 TEST(TxnTraceIntegration, SummaryMirrorsAttribution) {

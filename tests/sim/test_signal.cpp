@@ -1,5 +1,5 @@
 // Unit tests for Signal<T>: evaluate/update semantics, change events,
-// edge events, and port binding.
+// and edge events.
 
 #include "sim/sim.hpp"
 
@@ -207,37 +207,6 @@ TEST(Signal, ChainedSignalsPropagateOverDeltas) {
   EXPECT_EQ(b.read(), 11);
   EXPECT_EQ(c.read(), 12);
   EXPECT_EQ(k.now(), SimTime::ns(1));
-}
-
-TEST(Port, InReadsBoundSignal) {
-  Kernel k;
-  Module top(nullptr, "top");
-  Signal<int> s(&top, "s", 3);
-  In<int> in;
-  EXPECT_FALSE(in.bound());
-  in.bind(s);
-  EXPECT_TRUE(in.bound());
-  EXPECT_EQ(in.read(), 3);
-}
-
-TEST(Port, OutWritesBoundSignal) {
-  Kernel k;
-  Module top(nullptr, "top");
-  Signal<int> s(&top, "s", 0);
-  Out<int> out;
-  out.bind(s);
-  Method w(&top, "w", [&] { out.write(9); });
-  k.run();
-  EXPECT_EQ(s.read(), 9);
-  EXPECT_EQ(out.read(), 9);
-}
-
-TEST(Port, UnboundAccessThrows) {
-  Kernel k;
-  In<int> in;
-  Out<int> out;
-  EXPECT_THROW((void)in.read(), SimError);
-  EXPECT_THROW(out.write(1), SimError);
 }
 
 }  // namespace

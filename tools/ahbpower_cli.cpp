@@ -329,6 +329,56 @@ std::unique_ptr<fault::FaultInjector> make_injector(
       metrics);
 }
 
+/// The CLI's paper testbench: the default master, o.masters traffic
+/// masters, o.slaves memory slaves (behind the fault injector under
+/// --faults), a non-fatal protocol monitor and the power estimator.
+/// `metrics` feeds the injector and the monitor; null leaves them off.
+struct PaperRig {
+  PaperRig(const Options& o, telemetry::MetricsRegistry* metrics,
+           const power::AhbPowerEstimator::Config& est_cfg)
+      : clk(&top, "clk", sim::SimTime::ns(kClockNs), 0.5,
+            sim::SimTime::ns(kClockNs)),
+        bus(&top, "ahb", clk, ahb::AhbBus::Config{.policy = o.policy}),
+        dm(&top, "default_master", bus) {
+    for (unsigned m = 0; m < o.masters; ++m) {
+      masters.push_back(std::make_unique<ahb::TrafficMaster>(
+          &top, "m" + std::to_string(m + 1), bus,
+          ahb::TrafficMaster::Config{
+              .addr_base = 0x1000u * (m % o.slaves),
+              .addr_range = 0x1000,
+              .seed = o.seed + 97 * m,
+          }));
+    }
+    injector = make_injector(o, metrics);
+    for (unsigned s = 0; s < o.slaves; ++s) {
+      slaves.push_back(std::make_unique<ahb::MemorySlave>(
+          &top, "s" + std::to_string(s + 1), bus,
+          ahb::MemorySlave::Config{
+              .base = 0x1000u * s,
+              .size = 0x1000,
+              .wait_states = o.waits,
+              .fault_hook = injector ? injector->hook(s) : ahb::FaultHook{}}));
+    }
+    bus.finalize();
+    mon = std::make_unique<ahb::BusMonitor>(
+        &top, "monitor", bus,
+        ahb::BusMonitor::Config{.fatal = false, .metrics = metrics});
+    est = std::make_unique<power::AhbPowerEstimator>(&top, "power", bus, est_cfg);
+  }
+
+  sim::Kernel kernel;
+  sim::Module top{nullptr, "top"};
+  sim::Clock clk;
+  ahb::AhbBus bus;
+  ahb::DefaultMaster dm;
+  std::vector<std::unique_ptr<ahb::TrafficMaster>> masters;
+  /// Null unless --faults; outlives the slaves whose hooks point into it.
+  std::unique_ptr<fault::FaultInjector> injector;
+  std::vector<std::unique_ptr<ahb::MemorySlave>> slaves;
+  std::unique_ptr<ahb::BusMonitor> mon;
+  std::unique_ptr<power::AhbPowerEstimator> est;
+};
+
 /// One --sweep configuration as a campaign spec: the CLI topology with
 /// a given arbitration policy and wait-state count, run for o.cycles.
 campaign::RunSpec sweep_spec(const Options& o, ahb::ArbitrationPolicy policy,
@@ -341,50 +391,18 @@ campaign::RunSpec sweep_spec(const Options& o, ahb::ArbitrationPolicy policy,
                                                                    : "rr") +
       "/w" + std::to_string(waits);
   return {name, [run] {
-            sim::Kernel kernel;
-            sim::Module top(nullptr, "top");
-            sim::Clock clk(&top, "clk", sim::SimTime::ns(kClockNs), 0.5,
-                           sim::SimTime::ns(kClockNs));
-            ahb::AhbBus bus(&top, "ahb", clk,
-                            ahb::AhbBus::Config{.policy = run.policy});
-            ahb::DefaultMaster dm(&top, "default_master", bus);
-            std::vector<std::unique_ptr<ahb::TrafficMaster>> masters;
-            for (unsigned m = 0; m < run.masters; ++m) {
-              masters.push_back(std::make_unique<ahb::TrafficMaster>(
-                  &top, "m" + std::to_string(m + 1), bus,
-                  ahb::TrafficMaster::Config{
-                      .addr_base = 0x1000u * (m % run.slaves),
-                      .addr_range = 0x1000,
-                      .seed = run.seed + 97 * m,
-                  }));
-            }
-            auto injector = make_injector(run, nullptr);
-            std::vector<std::unique_ptr<ahb::MemorySlave>> slaves;
-            for (unsigned s = 0; s < run.slaves; ++s) {
-              slaves.push_back(std::make_unique<ahb::MemorySlave>(
-                  &top, "s" + std::to_string(s + 1), bus,
-                  ahb::MemorySlave::Config{
-                      .base = 0x1000u * s,
-                      .size = 0x1000,
-                      .wait_states = run.waits,
-                      .fault_hook = injector ? injector->hook(s)
-                                             : ahb::FaultHook{}}));
-            }
-            bus.finalize();
-            ahb::BusMonitor mon(&top, "monitor", bus,
-                                ahb::BusMonitor::Config{.fatal = false});
-            power::AhbPowerEstimator est(
-                &top, "power", bus,
-                power::AhbPowerEstimator::Config{.txn_trace = true});
-            kernel.run(sim::SimTime::ns(kClockNs) *
-                       static_cast<std::int64_t>(run.cycles));
+            PaperRig rig(run, nullptr,
+                         power::AhbPowerEstimator::Config{.txn_trace = true});
+            rig.kernel.run(sim::SimTime::ns(kClockNs) *
+                           static_cast<std::int64_t>(run.cycles));
+            power::AhbPowerEstimator& est = *rig.est;
             est.flush_telemetry();
 
             campaign::PowerReport r;
             r.total_energy = est.total_energy();
             r.blocks = est.block_totals();
             r.cycles = est.fsm().cycles();
-            r.transfers = mon.stats().transfers;
+            r.transfers = rig.mon->stats().transfers;
             r.metrics["data_share"] = power::data_transfer_share(est.fsm());
             r.metrics["arb_share"] = power::arbitration_share(est.fsm());
             const power::TransactionTracer& txn = *est.txn_tracer();
@@ -685,53 +703,22 @@ int main(int argc, char** argv) {
 
   telemetry::MetricsRegistry metrics;
   const bool telemetry_on = !o.telemetry_dir.empty();
-  sim::Kernel kernel;
+  PaperRig rig(o, telemetry_on ? &metrics : nullptr,
+               power::AhbPowerEstimator::Config{
+                   .telemetry_window_cycles =
+                       telemetry_on || !o.csv.empty() ? o.window_cycles : 0,
+                   .txn_trace = o.txn_trace,
+                   .metrics = telemetry_on ? &metrics : nullptr});
+  sim::Kernel& kernel = rig.kernel;
   kernel.set_cancel_flag(&g_interrupted);
   if (o.run_budget_s > 0.0) {
     kernel.set_budget(sim::RunBudget{.max_wall_seconds = o.run_budget_s});
   }
-  sim::Module top(nullptr, "top");
-  sim::Clock clk(&top, "clk", sim::SimTime::ns(kClockNs), 0.5,
-                 sim::SimTime::ns(kClockNs));
-  ahb::AhbBus bus(&top, "ahb", clk, ahb::AhbBus::Config{.policy = o.policy});
-
-  ahb::DefaultMaster dm(&top, "default_master", bus);
-  std::vector<std::unique_ptr<ahb::TrafficMaster>> masters;
-  for (unsigned m = 0; m < o.masters; ++m) {
-    masters.push_back(std::make_unique<ahb::TrafficMaster>(
-        &top, "m" + std::to_string(m + 1), bus,
-        ahb::TrafficMaster::Config{
-            .addr_base = 0x1000u * (m % o.slaves),
-            .addr_range = 0x1000,
-            .seed = o.seed + 97 * m,
-        }));
-  }
-  auto injector = make_injector(o, telemetry_on ? &metrics : nullptr);
-  std::vector<std::unique_ptr<ahb::MemorySlave>> slaves;
-  for (unsigned s = 0; s < o.slaves; ++s) {
-    slaves.push_back(std::make_unique<ahb::MemorySlave>(
-        &top, "s" + std::to_string(s + 1), bus,
-        ahb::MemorySlave::Config{
-            .base = 0x1000u * s,
-            .size = 0x1000,
-            .wait_states = o.waits,
-            .fault_hook = injector ? injector->hook(s) : ahb::FaultHook{}}));
-  }
-  bus.finalize();
-
-  ahb::BusMonitor::Config mon_cfg{.fatal = false,
-                                  .metrics = telemetry_on ? &metrics : nullptr};
-  ahb::BusMonitor mon(&top, "monitor", bus, mon_cfg);
-  power::AhbPowerEstimator est(
-      &top, "power", bus,
-      power::AhbPowerEstimator::Config{
-          .telemetry_window_cycles =
-              telemetry_on || !o.csv.empty() ? o.window_cycles : 0,
-          .txn_trace = o.txn_trace,
-          .metrics = telemetry_on ? &metrics : nullptr});
+  const ahb::BusMonitor& mon = *rig.mon;
+  power::AhbPowerEstimator& est = *rig.est;
   std::unique_ptr<ahb::TraceRecorder> recorder;
   if (!o.trace_out.empty()) {
-    recorder = std::make_unique<ahb::TraceRecorder>(&top, "recorder", bus);
+    recorder = std::make_unique<ahb::TraceRecorder>(&rig.top, "recorder", rig.bus);
   }
 
   try {
@@ -756,8 +743,8 @@ int main(int argc, char** argv) {
               100.0 * power::data_transfer_share(est.fsm()),
               100.0 * power::arbitration_share(est.fsm()),
               mon.violations().size());
-  if (injector) {
-    const fault::FaultInjector::Stats& fs = injector->stats();
+  if (rig.injector) {
+    const fault::FaultInjector::Stats& fs = rig.injector->stats();
     std::printf("faults (seed %llu): %llu transfers hit | %llu retries | "
                 "%llu errors | %llu jitter cycles\n",
                 static_cast<unsigned long long>(o.fault_seed),
@@ -851,7 +838,7 @@ int main(int argc, char** argv) {
   if (!o.csv.empty()) {
     emit_or_die([&] {
       std::ostringstream csv;
-      power::write_trace_csv(csv, *est.windows(), clk.period());
+      power::write_trace_csv(csv, *est.windows(), rig.clk.period());
       telemetry::AtomicFile::publish(o.csv, csv.view());
     });
     std::printf("\npower trace written to %s\n", o.csv.c_str());
