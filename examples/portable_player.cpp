@@ -40,24 +40,22 @@ public:
 
 private:
   sim::Task body() {
-    ahb::BusSignals& bus = bus_signals();
-    sim::Event& edge = clock().posedge_event();
+    const ahb::BusSignals& bus = bus_.bus();
     std::uint32_t frame = 0;
 
     for (;;) {
       // Sleep until the next frame is due.
-      sig_.htrans.write(ahb::raw(ahb::Trans::kIdle));
-      sig_.hbusreq.write(false);
-      for (unsigned i = 0; i < cfg_.period_cycles; ++i) co_await wait(edge);
+      release();
+      for (unsigned i = 0; i < cfg_.period_cycles; ++i) co_await sim::wait(edge_);
 
       // Acquire the bus.
-      sig_.hbusreq.write(true);
-      do {
-        co_await wait(edge);
-      } while (!(granted() && bus.hready.read()));
+      request();
+      co_await owned_edge();
 
       // Move one frame: read src word, then write it to dst (pipelined
-      // read->write per word, like a real single-channel DMA).
+      // read->write per word, like a real single-channel DMA). The
+      // signals are driven by hand here: the write's HWDATA is the word
+      // the read returns one cycle after the write's address phase.
       for (unsigned w = 0; w < cfg_.frame_words; ++w) {
         const std::uint32_t src = cfg_.src_base + 4 * ((frame * cfg_.frame_words + w) % 256);
         const std::uint32_t dst = cfg_.dst_base + 4 * (w % 256);
@@ -66,28 +64,18 @@ private:
         sig_.htrans.write(ahb::raw(ahb::Trans::kNonSeq));
         sig_.haddr.write(src);
         sig_.hwrite.write(false);
-        do {
-          co_await wait(edge);
-        } while (!bus.hready.read());
+        co_await ready_edge();
 
         // WRITE address phase; READ data phase completes at its end.
-        sig_.htrans.write(ahb::raw(ahb::Trans::kNonSeq));
         sig_.haddr.write(dst);
         sig_.hwrite.write(true);
-        do {
-          co_await wait(edge);
-        } while (!bus.hready.read());
+        co_await ready_edge();
         const std::uint32_t data = bus.hrdata.read();  // the word just read
 
         // WRITE data phase.
         sig_.htrans.write(ahb::raw(ahb::Trans::kIdle));
         sig_.hwdata.write(data);
-        do {
-          co_await wait(edge);
-        } while (!bus.hready.read());
-        if (w + 1 < cfg_.frame_words) {
-          // Re-request ownership is kept: hbusreq still high.
-        }
+        co_await ready_edge();
       }
       ++frames_;
       ++frame;

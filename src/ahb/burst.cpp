@@ -1,7 +1,5 @@
 #include "ahb/burst.hpp"
 
-#include <vector>
-
 #include "ahb/bus.hpp"
 #include "sim/report.hpp"
 
@@ -14,22 +12,9 @@ using sim::wait;
 std::uint32_t next_burst_addr(std::uint32_t addr, Burst burst, Size size) {
   const std::uint32_t step = size_bytes(size);
   const std::uint32_t next = addr + step;
-  switch (burst) {
-    case Burst::kSingle:
-    case Burst::kIncr:
-    case Burst::kIncr4:
-    case Burst::kIncr8:
-    case Burst::kIncr16:
-      return next;
-    case Burst::kWrap4:
-    case Burst::kWrap8:
-    case Burst::kWrap16: {
-      const std::uint32_t block = burst_beats(burst) * step;
-      const std::uint32_t base = addr & ~(block - 1);
-      return base | (next & (block - 1));
-    }
-  }
-  return next;
+  if (!is_wrapping(burst)) return next;
+  const std::uint32_t block = burst_beats(burst) * step;
+  return (addr & ~(block - 1)) | (next & (block - 1));
 }
 
 std::uint32_t wrap_boundary(std::uint32_t addr, Burst burst, Size size) {
@@ -43,6 +28,7 @@ BurstMaster::BurstMaster(sim::Module* parent, std::string name, AhbBus& bus,
     : AhbMaster(parent, std::move(name), bus),
       cfg_(cfg),
       rng_(cfg.seed),
+      beats_(cfg.burst == Burst::kIncr ? cfg.incr_beats : burst_beats(cfg.burst)),
       thread_(this, "proc", [this] { return body(); }) {
   if (cfg_.burst == Burst::kSingle) {
     throw SimError("BurstMaster: use TrafficMaster for SINGLE transfers");
@@ -51,151 +37,87 @@ BurstMaster::BurstMaster(sim::Module* parent, std::string name, AhbBus& bus,
     throw SimError("BurstMaster: INCR bursts need >= 2 beats");
   }
   if (cfg_.busy_percent > 100) throw SimError("BurstMaster: busy_percent > 100");
-  const unsigned beats =
-      cfg_.burst == Burst::kIncr ? cfg_.incr_beats : burst_beats(cfg_.burst);
-  if (cfg_.addr_range < beats * 4) {
+  if (cfg_.addr_range < beats_ * 4) {
     throw SimError("BurstMaster: address window smaller than one burst");
   }
   if (cfg_.max_idle_cycles < cfg_.min_idle_cycles || cfg_.min_idle_cycles == 0) {
     throw SimError("BurstMaster: bad idle-cycle bounds");
   }
-  const std::uint32_t block = burst_beats(cfg_.burst) * 4;
-  const bool wrapping = cfg_.burst == Burst::kWrap4 || cfg_.burst == Burst::kWrap8 ||
-                        cfg_.burst == Burst::kWrap16;
-  if (wrapping && cfg_.addr_base % block != 0) {
+  if (is_wrapping(cfg_.burst) && cfg_.addr_base % (beats_ * 4) != 0) {
     throw SimError("BurstMaster: addr_base must be wrap-block aligned");
   }
 }
 
-Task BurstMaster::body() {
-  BusSignals& bus = bus_signals();
-  sim::Event& edge = clock().posedge_event();
-  const unsigned beats =
-      cfg_.burst == Burst::kIncr ? cfg_.incr_beats : burst_beats(cfg_.burst);
+void BurstMaster::count(const Completion& c) {
+  if (c.resp != Resp::kOkay) ++stats_.error_responses;
+  if (c.transfer.write) {
+    ++stats_.write_beats;
+  } else {
+    ++stats_.read_beats;
+    if (c.mismatch()) ++stats_.read_mismatches;
+  }
+}
 
+Task BurstMaster::body() {
   auto rand_between = [this](unsigned lo, unsigned hi) {
     return lo + static_cast<unsigned>(rng_() % (hi - lo + 1));
   };
 
   for (;;) {
     // IDLE window (handover opportunity).
-    sig_.htrans.write(raw(Trans::kIdle));
-    sig_.hbusreq.write(false);
+    release();
     const unsigned idle_n = rand_between(cfg_.min_idle_cycles, cfg_.max_idle_cycles);
-    for (unsigned i = 0; i < idle_n; ++i) co_await wait(edge);
+    for (unsigned i = 0; i < idle_n; ++i) co_await wait(edge_);
 
     // Own the bus.
-    sig_.hbusreq.write(true);
-    do {
-      co_await wait(edge);
-    } while (!(granted() && bus.hready.read()));
+    request();
+    co_await owned_edge();
 
     // Pick a legal start address: word-aligned; for wrapping bursts any
     // aligned address inside the window works (the sequence wraps).
     const std::uint32_t words = cfg_.addr_range / 4;
     std::uint32_t start = cfg_.addr_base + 4 * static_cast<std::uint32_t>(
-                                                   rng_() % (words - beats + 1));
-    const bool wrapping = cfg_.burst == Burst::kWrap4 ||
-                          cfg_.burst == Burst::kWrap8 ||
-                          cfg_.burst == Burst::kWrap16;
-    if (wrapping) {
+                                                   rng_() % (words - beats_ + 1));
+    if (is_wrapping(cfg_.burst)) {
       // Keep the whole wrap block inside the window (addr_base is
       // block-aligned, checked at construction).
       start = wrap_boundary(start, cfg_.burst, Size::kWord);
     }
 
-    // Beat plan: write burst then read-back burst.
-    struct Beat {
-      bool write;
-      bool first;  ///< NONSEQ (new burst) vs SEQ
-      std::uint32_t addr;
-      std::uint32_t data;
-    };
-    std::vector<Beat> plan;
-    plan.reserve(2 * beats);
-    for (int pass = 0; pass < 2; ++pass) {
-      std::uint32_t a = start;
-      for (unsigned b = 0; b < beats; ++b) {
-        plan.push_back(Beat{pass == 0, b == 0, a, 0});
-        a = next_burst_addr(a, cfg_.burst, Size::kWord);
-      }
-    }
-    // One data word per address, shared by the write and read passes.
-    for (unsigned b = 0; b < beats; ++b) {
-      const auto d = static_cast<std::uint32_t>(rng_());
-      plan[b].data = d;
-      plan[beats + b].data = d;
+    // One burst's beats, each with a random data word: written by the
+    // write burst, expected back by the read burst over the same addresses.
+    plan_.clear();
+    std::uint32_t a = start;
+    for (unsigned b = 0; b < beats_; ++b) {
+      plan_.push_back({.trans = b == 0 ? Trans::kNonSeq : Trans::kSeq,
+                       .addr = a,
+                       .data = static_cast<std::uint32_t>(rng_()),
+                       .burst = cfg_.burst});
+      a = next_burst_addr(a, cfg_.burst, Size::kWord);
     }
 
-    // Pipelined beat engine with optional BUSY insertion.
-    bool have_pending = false;
-    Beat pending{};
-    for (const Beat& b : plan) {
-      if (!b.first && cfg_.busy_percent != 0 &&
-          rng_() % 100 < cfg_.busy_percent) {
-        // BUSY beat: address/control show the upcoming transfer, no data
-        // phase is created; exactly one cycle (zero-wait by protocol).
-        sig_.htrans.write(raw(Trans::kBusy));
-        sig_.haddr.write(b.addr);
-        sig_.hwrite.write(b.write);
-        if (have_pending && pending.write) sig_.hwdata.write(pending.data);
-        do {
-          co_await wait(edge);
-        } while (!bus.hready.read());
-        ++stats_.busy_beats;
-        if (have_pending) {
-          // The pending beat's data phase completed under the BUSY beat.
-          if (static_cast<Resp>(bus.hresp.read()) != Resp::kOkay) {
-            ++stats_.error_responses;
-          }
-          if (pending.write) {
-            ++stats_.write_beats;
-          } else {
-            ++stats_.read_beats;
-            if (bus.hrdata.read() != pending.data) ++stats_.read_mismatches;
-          }
-          have_pending = false;
+    for (const bool write : {true, false}) {
+      for (Transfer t : plan_) {
+        t.write = write;
+        if (t.trans == Trans::kSeq && cfg_.busy_percent != 0 &&
+            rng_() % 100 < cfg_.busy_percent) {
+          // BUSY beat: address/control show the upcoming transfer, no
+          // data phase is created; exactly one cycle (zero-wait by protocol).
+          issue({Trans::kBusy, t.addr, t.write, t.data, t.burst});
+          co_await ready_edge();
+          ++stats_.busy_beats;
+          if (const auto c = settle()) count(*c);
         }
+        issue(t);
+        co_await ready_edge();
+        if (const auto c = settle()) count(*c);
       }
-
-      sig_.htrans.write(raw(b.first ? Trans::kNonSeq : Trans::kSeq));
-      sig_.haddr.write(b.addr);
-      sig_.hwrite.write(b.write);
-      sig_.hburst.write(raw(cfg_.burst));
-      sig_.hsize.write(raw(Size::kWord));
-      if (have_pending && pending.write) sig_.hwdata.write(pending.data);
-      do {
-        co_await wait(edge);
-      } while (!bus.hready.read());
-      if (have_pending) {
-        if (static_cast<Resp>(bus.hresp.read()) != Resp::kOkay) {
-          ++stats_.error_responses;
-        }
-        if (pending.write) {
-          ++stats_.write_beats;
-        } else {
-          ++stats_.read_beats;
-          if (bus.hrdata.read() != pending.data) ++stats_.read_mismatches;
-        }
-      }
-      pending = b;
-      have_pending = true;
     }
 
     // Drain the last beat.
-    sig_.htrans.write(raw(Trans::kIdle));
-    sig_.hbusreq.write(false);
-    if (pending.write) sig_.hwdata.write(pending.data);
-    do {
-      co_await wait(edge);
-    } while (!bus.hready.read());
-    if (static_cast<Resp>(bus.hresp.read()) != Resp::kOkay) ++stats_.error_responses;
-    if (pending.write) {
-      ++stats_.write_beats;
-    } else {
-      ++stats_.read_beats;
-      if (bus.hrdata.read() != pending.data) ++stats_.read_mismatches;
-    }
+    release();
+    co_await ready_edge();
+    count(*settle());
     stats_.bursts += 2;  // one write burst + one read burst
   }
 }

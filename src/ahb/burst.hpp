@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <random>
 #include <string>
+#include <vector>
 
 #include "ahb/master.hpp"
 #include "ahb/types.hpp"
@@ -62,10 +63,13 @@ public:
 
 private:
   sim::Task body();
+  void count(const Completion& c);
 
   Config cfg_;
   Stats stats_;
   std::mt19937_64 rng_;
+  unsigned beats_;              ///< beats per burst
+  std::vector<Transfer> plan_;  ///< current burst's beats; capacity reused
   sim::Thread thread_;
 };
 

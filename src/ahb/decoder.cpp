@@ -12,9 +12,9 @@ Decoder::Decoder(sim::Module* parent, std::string name, BusSignals& bus)
 unsigned Decoder::attach(AddressRange range) {
   if (proc_) throw SimError("decoder: attach after finalize");
   // size == 0 is allowed: such a slave is reachable only as the fallback
-  // (the bus's built-in default slave uses this).
+  // (the bus's built-in default slave uses this), and overlaps nothing.
   for (const AddressRange& r : ranges_) {
-    if (r.size != 0 && r.overlaps(range)) {
+    if (r.overlaps(range)) {
       throw SimError("decoder: overlapping address ranges");
     }
   }

@@ -16,18 +16,6 @@ namespace ahbp::ahb {
 /// appended; after AhbBus::finalize() every address decodes somewhere.
 inline constexpr std::uint8_t kNoSlave = 0xFF;
 
-/// One entry of the system memory map.
-struct AddressRange {
-  std::uint32_t base = 0;
-  std::uint32_t size = 0;  ///< bytes; range is [base, base+size)
-  [[nodiscard]] bool contains(std::uint32_t addr) const {
-    return addr >= base && addr - base < size;
-  }
-  [[nodiscard]] bool overlaps(const AddressRange& o) const {
-    return base < o.base + o.size && o.base < base + size;
-  }
-};
-
 /// Combinational address decoder.
 ///
 /// Decodes the bus address into one-hot HSEL lines plus a binary

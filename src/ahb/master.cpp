@@ -13,15 +13,48 @@ using sim::wait;
 // AhbMaster
 
 AhbMaster::AhbMaster(sim::Module* parent, std::string name, AhbBus& bus)
-    : Module(parent, std::move(name)), bus_(bus), sig_(this, "out") {
+    : Module(parent, std::move(name)),
+      bus_(bus),
+      sig_(this, "out"),
+      edge_(bus.clock().posedge_event()),
+      hready_(bus.bus().hready) {
   index_ = bus_.attach_master(sig_);
 }
 
 bool AhbMaster::granted() const { return bus_.hgrant(index_).read(); }
 
-BusSignals& AhbMaster::bus_signals() const { return bus_.bus(); }
+void AhbMaster::issue(const Transfer& t) {
+  sig_.htrans.write(raw(t.trans));
+  sig_.haddr.write(t.addr);
+  sig_.hwrite.write(t.write);
+  sig_.hburst.write(raw(t.burst));
+  sig_.hsize.write(raw(Size::kWord));
+  if (data_phase_ && data_phase_->write) sig_.hwdata.write(data_phase_->data);
+  addr_phase_ = t;
+}
 
-sim::Clock& AhbMaster::clock() const { return bus_.clock(); }
+void AhbMaster::idle() {
+  sig_.htrans.write(raw(Trans::kIdle));
+  if (data_phase_ && data_phase_->write) sig_.hwdata.write(data_phase_->data);
+  addr_phase_.reset();
+}
+
+void AhbMaster::release() {
+  idle();
+  sig_.hbusreq.write(false);
+}
+
+std::optional<AhbMaster::Completion> AhbMaster::settle() {
+  const BusSignals& bus = bus_.bus();
+  std::optional<Completion> done;
+  if (data_phase_) {
+    done = {*data_phase_, static_cast<Resp>(bus.hresp.read()), bus.hrdata.read()};
+  }
+  // A BUSY beat holds the address phase but creates no data phase.
+  data_phase_ = addr_phase_ && is_active(addr_phase_->trans) ? addr_phase_ : std::nullopt;
+  addr_phase_.reset();
+  return done;
+}
 
 // ---------------------------------------------------------------------------
 // TrafficMaster
@@ -41,10 +74,17 @@ TrafficMaster::TrafficMaster(sim::Module* parent, std::string name, AhbBus& bus,
   if (cfg_.addr_range < 4) throw SimError("TrafficMaster: address window too small");
 }
 
-Task TrafficMaster::body() {
-  BusSignals& bus = bus_signals();
-  sim::Event& edge = clock().posedge_event();
+void TrafficMaster::count(const Completion& c) {
+  if (c.resp != Resp::kOkay) ++stats_.error_responses;
+  if (c.transfer.write) {
+    ++stats_.writes;
+  } else {
+    ++stats_.reads;
+    if (c.mismatch()) ++stats_.read_mismatches;
+  }
+}
 
+Task TrafficMaster::body() {
   auto rand_between = [this](unsigned lo, unsigned hi) {
     return lo + static_cast<unsigned>(rng_() % (hi - lo + 1));
   };
@@ -55,88 +95,39 @@ Task TrafficMaster::body() {
 
   for (;;) {
     // --- IDLE phase: the only window in which handover can happen -------
-    sig_.htrans.write(raw(Trans::kIdle));
-    sig_.hbusreq.write(false);
+    release();
     const unsigned idle_n = rand_between(cfg_.min_idle_cycles, cfg_.max_idle_cycles);
-    for (unsigned i = 0; i < idle_n; ++i) co_await wait(edge);
+    for (unsigned i = 0; i < idle_n; ++i) co_await wait(edge_);
 
     // Cooperative DPM: hold off the next tenure while throttled.
-    while (cfg_.throttle != nullptr && cfg_.throttle->read()) {
+    while (throttle_ != nullptr && throttle_->read()) {
       ++stats_.throttled_cycles;
-      co_await wait(edge);
+      co_await wait(edge_);
     }
 
     // --- request the bus and wait until granted and ready ---------------
-    sig_.hbusreq.write(true);
-    do {
-      co_await wait(edge);
-    } while (!(granted() && bus.hready.read()));
+    request();
+    co_await owned_edge();
 
-    // --- non-interruptible WRITE-READ pairs -----------------------------
+    // --- non-interruptible WRITE-READ pairs, pipelined -----------------
     const unsigned pairs = rand_between(cfg_.min_pairs, cfg_.max_pairs);
-
-    // Pipelined beat engine: while beat N's data phase runs, beat N+1's
-    // address phase is on the bus.
-    beats_.clear();
     for (unsigned p = 0; p < pairs; ++p) {
-      const std::uint32_t a = rand_addr();
-      const std::uint32_t d = static_cast<std::uint32_t>(rng_());
-      beats_.push_back(Beat{true, a, d});
-      beats_.push_back(Beat{false, a, d});
-    }
-
-    bool have_pending = false;
-    Beat pending{};
-    for (const Beat& b : beats_) {
-      // Address phase for beat b; write-data phase for the pending beat.
-      sig_.htrans.write(raw(Trans::kNonSeq));
-      sig_.haddr.write(b.addr);
-      sig_.hwrite.write(b.write);
-      sig_.hburst.write(raw(Burst::kSingle));
-      sig_.hsize.write(raw(Size::kWord));
-      if (have_pending && pending.write) sig_.hwdata.write(pending.data);
-
-      do {
-        co_await wait(edge);
-      } while (!bus.hready.read());
-
-      // The pending beat's data phase completed at this edge.
-      if (have_pending) {
-        if (static_cast<Resp>(bus.hresp.read()) != Resp::kOkay) ++stats_.error_responses;
-        if (pending.write) {
-          ++stats_.writes;
-        } else {
-          ++stats_.reads;
-          if (bus.hrdata.read() != pending.data) ++stats_.read_mismatches;
-        }
+      Transfer t{.addr = rand_addr(), .data = static_cast<std::uint32_t>(rng_())};
+      for (const bool write : {true, false}) {  // write the word, read it back
+        t.write = write;
+        issue(t);
+        co_await ready_edge();
+        if (const auto c = settle()) count(*c);
       }
-      pending = b;
-      have_pending = true;
     }
 
     // Drain the final data phase while already releasing the bus.
-    sig_.htrans.write(raw(Trans::kIdle));
-    sig_.hbusreq.write(false);
-    if (pending.write) sig_.hwdata.write(pending.data);
-    do {
-      co_await wait(edge);
-    } while (!bus.hready.read());
-    if (static_cast<Resp>(bus.hresp.read()) != Resp::kOkay) ++stats_.error_responses;
-    if (pending.write) {
-      ++stats_.writes;
-    } else {
-      ++stats_.reads;
-      if (bus.hrdata.read() != pending.data) ++stats_.read_mismatches;
-    }
+    release();
+    co_await ready_edge();
+    count(*settle());
     ++stats_.sequences;
   }
 }
-
-// ---------------------------------------------------------------------------
-// DefaultMaster
-
-DefaultMaster::DefaultMaster(sim::Module* parent, std::string name, AhbBus& bus)
-    : AhbMaster(parent, std::move(name), bus) {}
 
 // ---------------------------------------------------------------------------
 // ScriptedMaster
@@ -152,124 +143,66 @@ ScriptedMaster::ScriptedMaster(sim::Module* parent, std::string name, AhbBus& bu
       opts_(opts),
       thread_(this, "proc", [this] { return body(); }) {}
 
+void ScriptedMaster::record(const Completion& c) {
+  const Transfer& t = c.transfer;
+  results_.push_back({t.addr, t.write, t.write ? t.data : c.rdata, c.resp});
+}
+
 Task ScriptedMaster::body() {
-  BusSignals& bus = bus_signals();
-  sim::Event& edge = clock().posedge_event();
-
-  bool have_pending = false;
-  Op pending{};
-
-  // Completes the pending data phase bookkeeping at a ready edge.
-  auto record_pending = [&] {
-    if (!have_pending) return;
-    Result r;
-    r.addr = pending.addr;
-    r.write = pending.kind == Op::Kind::kWrite;
-    r.data = r.write ? pending.data : bus.hrdata.read();
-    r.resp = static_cast<Resp>(bus.hresp.read());
-    results_.push_back(r);
-    have_pending = false;
-  };
-
-  for (const Op& op : script_) {
+  // The script ends the way an idle op of no cycles does.
+  for (std::size_t i = 0; i <= script_.size(); ++i) {
+    const Op op = i < script_.size() ? script_[i] : Op{.idle_cycles = 0};
     if (op.kind == Op::Kind::kIdle) {
       // Finish any in-flight data phase, then idle with the bus released.
-      sig_.htrans.write(raw(Trans::kIdle));
-      sig_.hbusreq.write(false);
-      if (have_pending && pending.kind == Op::Kind::kWrite) {
-        sig_.hwdata.write(pending.data);
+      release();
+      if (in_flight()) {
+        co_await ready_edge();
+        record(*settle());
       }
-      if (have_pending) {
-        do {
-          co_await wait(edge);
-        } while (!bus.hready.read());
-        record_pending();
-      }
-      for (unsigned i = 0; i < op.idle_cycles; ++i) co_await wait(edge);
+      for (unsigned n = 0; n < op.idle_cycles; ++n) co_await wait(edge_);
       continue;
     }
 
     // Transfer op: own the bus first.
     if (!granted() || !sig_.hbusreq.read()) {
-      sig_.hbusreq.write(true);
-      while (!(granted() && bus.hready.read())) co_await wait(edge);
+      request();
+      if (!owns_bus()) co_await owned_edge();
     }
 
-    if (opts_.retry) {
-      // Serialized transfer: address phase, then a clean data phase with
-      // nothing pipelined behind it, so a RETRY response can simply
-      // re-issue the same transfer.
-      unsigned attempts = 0;
-      Resp resp = Resp::kOkay;
-      std::uint32_t rdata = 0;
-      for (;;) {
-        sig_.htrans.write(raw(Trans::kNonSeq));
-        sig_.haddr.write(op.addr);
-        sig_.hwrite.write(op.kind == Op::Kind::kWrite);
-        sig_.hburst.write(raw(Burst::kSingle));
-        sig_.hsize.write(raw(Size::kWord));
-        do {
-          co_await wait(edge);
-        } while (!bus.hready.read());
-        sig_.htrans.write(raw(Trans::kIdle));
-        if (op.kind == Op::Kind::kWrite) sig_.hwdata.write(op.data);
-        do {
-          co_await wait(edge);
-        } while (!bus.hready.read());
-        resp = static_cast<Resp>(bus.hresp.read());
-        rdata = bus.hrdata.read();
-        if ((resp == Resp::kRetry || resp == Resp::kSplit) &&
-            attempts < opts_.max_retries) {
-          ++attempts;
-          ++retries_;
-          if (resp == Resp::kSplit) {
-            ++splits_;
-            // The arbiter has masked this master: the grant signal still
-            // reads its stale pre-handover value at this edge, so wait at
-            // least one edge, then hold until the HSPLITx resume
-            // re-grants the bus.
-            do {
-              co_await wait(edge);
-            } while (!(granted() && bus.hready.read()));
-          }
-          continue;
-        }
-        break;
-      }
-      Result r;
-      r.addr = op.addr;
-      r.write = op.kind == Op::Kind::kWrite;
-      r.data = r.write ? op.data : rdata;
-      r.resp = resp;
-      results_.push_back(r);
+    const Transfer t{.addr = op.addr, .write = op.kind == Op::Kind::kWrite,
+                     .data = op.data};
+    if (!opts_.retry) {
+      issue(t);
+      co_await ready_edge();
+      if (const auto c = settle()) record(*c);
       continue;
     }
 
-    sig_.htrans.write(raw(Trans::kNonSeq));
-    sig_.haddr.write(op.addr);
-    sig_.hwrite.write(op.kind == Op::Kind::kWrite);
-    sig_.hburst.write(raw(Burst::kSingle));
-    sig_.hsize.write(raw(Size::kWord));
-    if (have_pending && pending.kind == Op::Kind::kWrite) {
-      sig_.hwdata.write(pending.data);
+    // Serialized transfer: address phase, then a clean data phase with
+    // nothing pipelined behind it, so a RETRY response can simply
+    // re-issue the same transfer.
+    for (unsigned attempts = 0;; ++attempts) {
+      issue(t);
+      co_await ready_edge();
+      settle();
+      idle();
+      co_await ready_edge();
+      const Completion c = *settle();
+      if ((c.resp != Resp::kRetry && c.resp != Resp::kSplit) ||
+          attempts == opts_.max_retries) {
+        record(c);
+        break;
+      }
+      ++retries_;
+      if (c.resp == Resp::kSplit) {
+        ++splits_;
+        // The arbiter has masked this master: the grant signal still
+        // reads its stale pre-handover value at this edge, so wait at
+        // least one edge, then hold until the HSPLITx resume re-grants
+        // the bus.
+        co_await owned_edge();
+      }
     }
-    do {
-      co_await wait(edge);
-    } while (!bus.hready.read());
-    record_pending();
-    pending = op;
-    have_pending = true;
-  }
-
-  // Drain the last transfer and release the bus.
-  sig_.htrans.write(raw(Trans::kIdle));
-  sig_.hbusreq.write(false);
-  if (have_pending) {
-    if (pending.kind == Op::Kind::kWrite) sig_.hwdata.write(pending.data);
-    do {
-      co_await wait(edge);
-    } while (!bus.hready.read());
-    record_pending();
   }
 }
 

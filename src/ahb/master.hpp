@@ -1,16 +1,16 @@
 #pragma once
-// AHB bus masters: the abstract base, the paper's traffic-generating
-// master (WRITE-READ non-interruptible sequences + IDLE), the default
-// master, and a scripted master for directed tests.
+// AHB bus masters: the abstract base with the one transfer engine, the
+// paper's traffic-generating master (WRITE-READ non-interruptible
+// sequences + IDLE), the default master, and a scripted master for
+// directed tests.
 
 #include <cstdint>
-#include <functional>
+#include <optional>
 #include <random>
 #include <string>
 #include <vector>
 
 #include "ahb/signals.hpp"
-#include "sim/clock.hpp"
 #include "sim/module.hpp"
 #include "sim/process.hpp"
 
@@ -18,8 +18,15 @@ namespace ahbp::ahb {
 
 class AhbBus;
 
-/// Base class for bus masters: owns the outgoing signal bundle and the
-/// attachment to the bus.
+/// Base class for bus masters: owns the outgoing signal bundle, the
+/// attachment to the bus, and the transfer engine every master drives
+/// the AHB pipeline through.
+///
+/// The engine holds the two pipeline stages. issue() puts a transfer in
+/// the address phase beside the data phase of the one before it; at each
+/// ready edge, settle() completes the data-phase transfer and moves the
+/// address-phase one into the data phase. A master's body keeps only its
+/// policy: what to issue and when to request, idle and release the bus.
 class AhbMaster : public sim::Module {
 public:
   AhbMaster(sim::Module* parent, std::string name, AhbBus& bus);
@@ -28,16 +35,69 @@ public:
   [[nodiscard]] unsigned index() const { return index_; }
 
 protected:
+  /// One transfer: its address/control and its data (the write value,
+  /// or the value a read is expected to return).
+  struct Transfer {
+    Trans trans = Trans::kNonSeq;
+    std::uint32_t addr = 0;
+    bool write = false;
+    std::uint32_t data = 0;
+    Burst burst = Burst::kSingle;
+  };
+
+  /// A completed data phase.
+  struct Completion {
+    Transfer transfer;
+    Resp resp = Resp::kOkay;
+    std::uint32_t rdata = 0;
+    /// A read that returned other than the expected value.
+    [[nodiscard]] bool mismatch() const {
+      return !transfer.write && rdata != transfer.data;
+    }
+  };
+
+  /// @name Transfer engine
+  ///@{
+  /// Drives `t`'s address phase (HTRANS/HADDR/HWRITE/HSIZE/HBURST) and,
+  /// beside it, HWDATA for the write in the data phase.
+  void issue(const Transfer& t);
+  /// Drives no new address phase (HTRANS IDLE) beside the data phase.
+  void idle();
+  void request() { sig_.hbusreq.write(true); }
+  /// idle() and drop the bus request.
+  void release();
+  /// At a ready edge: advances the pipeline and returns the transfer
+  /// whose data phase completed there, if there was one.
+  std::optional<Completion> settle();
+  /// True while a transfer occupies the data phase.
+  [[nodiscard]] bool in_flight() const { return data_phase_.has_value(); }
+  /// Granted with HREADY high: the next address phase is this master's.
+  [[nodiscard]] bool owns_bus() const { return granted() && hready_.read(); }
+
+  /// `co_await ready_edge()`: the next clock edge with HREADY high (at
+  /// least one edge). Yields the number of edges waited.
+  [[nodiscard]] auto ready_edge() {
+    return sim::wait_until(edge_, [this] { return hready_.read(); });
+  }
+  /// `co_await owned_edge()`: the next ready edge at which this master
+  /// owns the bus (at least one edge). Yields the number of edges waited.
+  [[nodiscard]] auto owned_edge() {
+    return sim::wait_until(edge_, [this] { return owns_bus(); });
+  }
+  ///@}
+
   /// True when this master owns the bus (HGRANT asserted).
   [[nodiscard]] bool granted() const;
-  /// The shared bus signals (read-only use intended).
-  [[nodiscard]] BusSignals& bus_signals() const;
-  /// The bus clock.
-  [[nodiscard]] sim::Clock& clock() const;
 
   AhbBus& bus_;
   MasterSignals sig_;
   unsigned index_;
+  sim::Event& edge_;  ///< the bus clock's rising edge
+  const sim::Signal<bool>& hready_;
+
+private:
+  std::optional<Transfer> addr_phase_;
+  std::optional<Transfer> data_phase_;
 };
 
 /// The paper's testbench master.
@@ -56,9 +116,6 @@ public:
     unsigned min_pairs = 4;   ///< WRITE-READ pairs per bus tenure
     unsigned max_pairs = 24;  ///< long tenures, as in the paper's testbench
     std::uint64_t seed = 1;
-    /// Optional cooperative throttle (see power::PowerGovernor): while
-    /// the signal is high the master delays its next bus tenure.
-    sim::Signal<bool>* throttle = nullptr;
   };
 
   struct Stats {
@@ -74,24 +131,20 @@ public:
 
   [[nodiscard]] const Stats& stats() const { return stats_; }
 
-  /// Late binding of the DPM throttle (the governor is typically
-  /// constructed after the bus is finalized, i.e. after the masters).
-  void set_throttle(sim::Signal<bool>* throttle) { cfg_.throttle = throttle; }
+  /// Binds the cooperative DPM throttle (see power::PowerGovernor):
+  /// while the signal is high the master delays its next bus tenure.
+  /// Bound late because the governor is typically constructed after the
+  /// bus is finalized, i.e. after the masters.
+  void set_throttle(sim::Signal<bool>* throttle) { throttle_ = throttle; }
 
 private:
   sim::Task body();
-
-  /// One beat of a bus tenure.
-  struct Beat {
-    bool write;
-    std::uint32_t addr;
-    std::uint32_t data;  ///< write value / expected read-back
-  };
+  void count(const Completion& c);
 
   Config cfg_;
   Stats stats_;
   std::mt19937_64 rng_;
-  std::vector<Beat> beats_;  ///< current tenure; capacity reused
+  sim::Signal<bool>* throttle_ = nullptr;
   sim::Thread thread_;
 };
 
@@ -99,7 +152,7 @@ private:
 /// the bus. It is granted whenever nobody else wants the bus.
 class DefaultMaster final : public AhbMaster {
 public:
-  DefaultMaster(sim::Module* parent, std::string name, AhbBus& bus);
+  using AhbMaster::AhbMaster;
   // No process needed: the signal bundle's reset values are exactly the
   // IDLE pattern, and they are never changed.
 };
@@ -147,6 +200,7 @@ public:
 
 private:
   sim::Task body();
+  void record(const Completion& c);
 
   std::vector<Op> script_;
   Options opts_;

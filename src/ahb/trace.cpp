@@ -89,81 +89,47 @@ TraceMaster::TraceMaster(sim::Module* parent, std::string name, AhbBus& bus,
       trace_(std::move(trace)),
       thread_(this, "proc", [this] { return body(); }) {}
 
+void TraceMaster::count(const Completion& c) {
+  if (c.mismatch()) ++stats_.read_mismatches;
+  ++stats_.replayed;
+}
+
 Task TraceMaster::body() {
-  BusSignals& bus = bus_signals();
-  sim::Event& edge = clock().posedge_event();
   if (trace_.records().empty()) co_return;
 
+  // Pacing: `cycle` counts the clock edges this master has waited.
   const std::uint64_t t0 = trace_.records().front().cycle;
   std::uint64_t cycle = 0;
-  bool have_pending = false;
-  TransferRecord pending{};
-
-  // Completes the pending transfer's bookkeeping at a ready edge.
-  auto settle_pending = [&] {
-    if (!have_pending) return;
-    if (!pending.write && bus.hrdata.read() != pending.data) {
-      ++stats_.read_mismatches;
-    }
-    ++stats_.replayed;
-    have_pending = false;
-  };
 
   for (const TransferRecord& r : trace_.records()) {
     const std::uint64_t due = r.cycle - t0;
 
     // A gap before this record: drain the in-flight transfer, then idle
     // with the bus released (pacing preserves the recorded rhythm).
-    if (cycle < due && have_pending) {
-      sig_.htrans.write(raw(Trans::kIdle));
-      sig_.hbusreq.write(false);
-      if (pending.write) sig_.hwdata.write(pending.data);
-      do {
-        co_await wait(edge);
-        ++cycle;
-      } while (!bus.hready.read());
-      settle_pending();
+    if (cycle < due && in_flight()) {
+      release();
+      cycle += co_await ready_edge();
+      count(*settle());
     }
-    while (cycle < due) {
-      co_await wait(edge);
-      ++cycle;
-    }
+    for (; cycle < due; ++cycle) co_await wait(edge_);
 
     // Own the bus.
     if (!granted() || !sig_.hbusreq.read()) {
-      sig_.hbusreq.write(true);
-      while (!(granted() && bus.hready.read())) {
-        co_await wait(edge);
-        ++cycle;
-      }
+      request();
+      if (!owns_bus()) cycle += co_await owned_edge();
     }
 
     // Pipelined: address phase of this record beside the pending
     // record's data phase, exactly like the original masters.
-    sig_.htrans.write(raw(Trans::kNonSeq));
-    sig_.haddr.write(r.addr);
-    sig_.hwrite.write(r.write);
-    sig_.hburst.write(raw(Burst::kSingle));
-    sig_.hsize.write(raw(Size::kWord));
-    if (have_pending && pending.write) sig_.hwdata.write(pending.data);
-    do {
-      co_await wait(edge);
-      ++cycle;
-    } while (!bus.hready.read());
-    settle_pending();
-    pending = r;
-    have_pending = true;
+    issue({.addr = r.addr, .write = r.write, .data = r.data});
+    cycle += co_await ready_edge();
+    if (const auto c = settle()) count(*c);
   }
 
   // Drain the final transfer.
-  sig_.htrans.write(raw(Trans::kIdle));
-  sig_.hbusreq.write(false);
-  if (pending.write) sig_.hwdata.write(pending.data);
-  do {
-    co_await wait(edge);
-    ++cycle;
-  } while (!bus.hready.read());
-  settle_pending();
+  release();
+  co_await ready_edge();
+  count(*settle());
 }
 
 }  // namespace ahbp::ahb

@@ -87,6 +87,7 @@ public:
 
 private:
   sim::Task body();
+  void count(const Completion& c);
 
   TransactionTrace trace_;
   Stats stats_;

@@ -1,5 +1,7 @@
 #pragma once
-// AMBA AHB protocol types (ARM AMBA Specification rev 2.0 encodings).
+// AMBA AHB protocol types (ARM AMBA Specification rev 2.0 encodings) and
+// the memory-map range. No simulation-kernel types: the transaction-level
+// model uses them too.
 
 #include <cstdint>
 #include <iosfwd>
@@ -63,6 +65,12 @@ enum class Resp : std::uint8_t {
   return 0;
 }
 
+/// True for the WRAP4/8/16 bursts, whose addresses wrap at the burst's
+/// (beats * bytes-per-beat) boundary.
+[[nodiscard]] constexpr bool is_wrapping(Burst b) {
+  return b == Burst::kWrap4 || b == Burst::kWrap8 || b == Burst::kWrap16;
+}
+
 /// Bytes moved per beat for a given HSIZE.
 [[nodiscard]] constexpr unsigned size_bytes(Size s) {
   return 1u << static_cast<unsigned>(s);
@@ -77,6 +85,22 @@ std::ostream& operator<<(std::ostream& os, Trans t);
 std::ostream& operator<<(std::ostream& os, Burst b);
 std::ostream& operator<<(std::ostream& os, Resp r);
 std::ostream& operator<<(std::ostream& os, Size s);
+
+/// One entry of a memory map: bytes [base, base + size). The checks
+/// subtract instead of computing base + size, so a range that ends
+/// exactly at 4 GiB does not wrap to 0.
+struct AddressRange {
+  std::uint32_t base = 0;
+  std::uint32_t size = 0;
+  [[nodiscard]] constexpr bool contains(std::uint32_t addr) const {
+    return addr >= base && addr - base < size;
+  }
+  /// True if the ranges share an address; an empty range shares none.
+  [[nodiscard]] constexpr bool overlaps(const AddressRange& o) const {
+    return size != 0 && o.size != 0 &&
+           (base - o.base < o.size || o.base - base < size);
+  }
+};
 
 /// Raw-encoding helpers for the uint8_t signals the bus carries.
 [[nodiscard]] constexpr std::uint8_t raw(Trans t) { return static_cast<std::uint8_t>(t); }

@@ -1,6 +1,5 @@
 #include "cpu/ahb_cpu.hpp"
 
-#include "ahb/bus.hpp"
 #include "ahb/slave.hpp"
 
 namespace ahbp::cpu {
@@ -23,61 +22,39 @@ void load_program(ahb::MemorySlave& mem, std::uint32_t base,
 }
 
 Task CpuMaster::body() {
-  ahb::BusSignals& bus = bus_signals();
-  sim::Event& edge = clock().posedge_event();
   std::uint64_t since_yield = 0;
 
-  // One serialized bus access. `write` selects direction; the result of
-  // a read lands in `rdata`. (Written inline because coroutines cannot
-  // call co_await through helper functions without extra machinery.)
-  std::uint32_t rdata = 0;
+  request();
+  co_await owned_edge();
 
-  sig_.hbusreq.write(true);
-  do {
-    co_await wait(edge);
-  } while (!(granted() && bus.hready.read()));
-
+  // Each access is serialized: its address phase, then its data phase
+  // with nothing pipelined behind it. The bus stays requested between
+  // accesses.
   while (!core_.halted()) {
     // ---- instruction fetch ---------------------------------------------
-    {
-      sig_.htrans.write(ahb::raw(ahb::Trans::kNonSeq));
-      sig_.haddr.write(core_.fetch_addr());
-      sig_.hwrite.write(false);
-      sig_.hsize.write(ahb::raw(ahb::Size::kWord));
-      sig_.hburst.write(ahb::raw(ahb::Burst::kSingle));
-      do {
-        co_await wait(edge);
-      } while (!bus.hready.read());
-      sig_.htrans.write(ahb::raw(ahb::Trans::kIdle));
-      do {
-        co_await wait(edge);
-      } while (!bus.hready.read());
-      if (static_cast<ahb::Resp>(bus.hresp.read()) != ahb::Resp::kOkay) {
-        ++stats_.error_responses;
-      }
-      rdata = bus.hrdata.read();
-      ++stats_.fetches;
-    }
+    issue({.addr = core_.fetch_addr()});
+    co_await ready_edge();
+    settle();
+    idle();
+    co_await ready_edge();
+    const Completion fetch = *settle();
+    if (fetch.resp != ahb::Resp::kOkay) ++stats_.error_responses;
+    ++stats_.fetches;
 
-    const MemOp mem = core_.execute(rdata);
+    const MemOp mem = core_.execute(fetch.rdata);
+    std::uint32_t rdata = fetch.rdata;
 
     if (mem.kind == MemOp::Kind::kLoad ||
         (mem.kind == MemOp::Kind::kStore && mem.bytes != 4)) {
       // ---- data read (load, or the read half of a sub-word store) -------
-      sig_.htrans.write(ahb::raw(ahb::Trans::kNonSeq));
-      sig_.haddr.write(mem.addr & ~3u);
-      sig_.hwrite.write(false);
-      do {
-        co_await wait(edge);
-      } while (!bus.hready.read());
-      sig_.htrans.write(ahb::raw(ahb::Trans::kIdle));
-      do {
-        co_await wait(edge);
-      } while (!bus.hready.read());
-      if (static_cast<ahb::Resp>(bus.hresp.read()) != ahb::Resp::kOkay) {
-        ++stats_.error_responses;
-      }
-      rdata = bus.hrdata.read();
+      issue({.addr = mem.addr & ~3u});
+      co_await ready_edge();
+      settle();
+      idle();
+      co_await ready_edge();
+      const Completion load = *settle();
+      if (load.resp != ahb::Resp::kOkay) ++stats_.error_responses;
+      rdata = load.rdata;
       if (mem.kind == MemOp::Kind::kLoad) {
         core_.complete_load(mem, rdata);
         ++stats_.loads;
@@ -88,20 +65,12 @@ Task CpuMaster::body() {
       // ---- data write (whole word; sub-word stores merge into rdata) ----
       const std::uint32_t word =
           mem.bytes == 4 ? mem.wdata : (rdata & ~mem.wmask) | mem.wdata;
-      sig_.htrans.write(ahb::raw(ahb::Trans::kNonSeq));
-      sig_.haddr.write(mem.addr & ~3u);
-      sig_.hwrite.write(true);
-      do {
-        co_await wait(edge);
-      } while (!bus.hready.read());
-      sig_.htrans.write(ahb::raw(ahb::Trans::kIdle));
-      sig_.hwdata.write(word);
-      do {
-        co_await wait(edge);
-      } while (!bus.hready.read());
-      if (static_cast<ahb::Resp>(bus.hresp.read()) != ahb::Resp::kOkay) {
-        ++stats_.error_responses;
-      }
+      issue({.addr = mem.addr & ~3u, .write = true, .data = word});
+      co_await ready_edge();
+      settle();
+      idle();
+      co_await ready_edge();
+      if (settle()->resp != ahb::Resp::kOkay) ++stats_.error_responses;
       ++stats_.stores;
       if (mem.bytes != 4) ++stats_.rmw_stores;
     }
@@ -109,18 +78,15 @@ Task CpuMaster::body() {
     // ---- cooperative yield ----------------------------------------------
     if (cfg_.yield_every != 0 && ++since_yield >= cfg_.yield_every) {
       since_yield = 0;
-      sig_.hbusreq.write(false);
-      for (unsigned i = 0; i < cfg_.yield_cycles; ++i) co_await wait(edge);
-      sig_.hbusreq.write(true);
-      do {
-        co_await wait(edge);
-      } while (!(granted() && bus.hready.read()));
+      release();
+      for (unsigned i = 0; i < cfg_.yield_cycles; ++i) co_await wait(edge_);
+      request();
+      co_await owned_edge();
     }
   }
 
   // Halted: park the bus.
-  sig_.htrans.write(ahb::raw(ahb::Trans::kIdle));
-  sig_.hbusreq.write(false);
+  release();
 }
 
 }  // namespace ahbp::cpu

@@ -5,8 +5,8 @@
 // system"). PowerGovernor is that hook made concrete: it watches the
 // estimator's energy over fixed windows and asserts a throttle signal
 // whenever the windowed bus power exceeds a budget. Cooperative masters
-// (TrafficMaster with Config::throttle set) delay new tenures while the
-// signal is high, closing the loop.
+// (a TrafficMaster bound to it through set_throttle()) delay new tenures
+// while the signal is high, closing the loop.
 
 #include <cstdint>
 

@@ -71,10 +71,22 @@ void Thread::arm_timed_wait(SimTime delay) {
   }
 }
 
-void Thread::arm_event_wait(Event& ev) { ev.add_dynamic(*this); }
+void Thread::arm_guarded_wait(Event& ev, bool (*guard)(void*), void* ctx) {
+  guard_ = guard;
+  guard_ctx_ = ctx;
+  guard_event_ = &ev;
+  ev.add_dynamic(*this);
+}
 
 void Thread::execute() {
   if (done_) return;
+  if (guard_ != nullptr) {
+    if (!guard_(guard_ctx_)) {
+      guard_event_->add_dynamic(*this);
+      return;
+    }
+    guard_ = nullptr;
+  }
   if (!started_) {
     started_ = true;
     task_ = body_();

@@ -115,6 +115,7 @@ struct Task {
 /// The body is a coroutine returning Task; inside it, suspend with
 ///   co_await wait(SimTime::ns(10));   // timed wait
 ///   co_await wait(some_event);        // wait for one trigger
+///   co_await wait_until(some_event, pred);  // ... one where pred() holds
 /// The thread terminates when the coroutine returns. Exceptions escaping
 /// the body are rethrown out of Kernel::run().
 class Thread final : public Process {
@@ -132,7 +133,10 @@ public:
   /// @name Awaitable hooks (called by the wait() awaiters).
   ///@{
   void arm_timed_wait(SimTime delay);
-  void arm_event_wait(Event& ev);
+  /// Waits on `ev`, resuming the coroutine only at a trigger where
+  /// `guard(ctx)` reads true. At the other triggers the thread still
+  /// executes, but only to test the guard and wait on `ev` again.
+  void arm_guarded_wait(Event& ev, bool (*guard)(void*), void* ctx);
   ///@}
 
 private:
@@ -142,6 +146,9 @@ private:
   Task task_{nullptr};
   bool started_ = false;
   Event* wake_event_;  ///< private event for timed waits (owned)
+  bool (*guard_)(void*) = nullptr;  ///< pending guarded wait, if any
+  void* guard_ctx_ = nullptr;
+  Event* guard_event_ = nullptr;
 };
 
 /// @name Awaitables for thread bodies
@@ -157,18 +164,38 @@ struct TimedWait {
   void await_resume() const noexcept {}
 };
 
-/// `co_await wait(event)` -- suspend until the event next triggers.
-struct EventWait {
+/// `co_await wait_until(event, pred)` -- suspend until a trigger of the
+/// event at which `pred()` reads true (at least one trigger). The
+/// coroutine resumes once, not at every trigger; the count of triggers
+/// waited is the result.
+template <class Pred>
+struct GuardedWait {
   Event& ev;
+  Pred pred;
+  unsigned triggers = 0;
+
   [[nodiscard]] bool await_ready() const noexcept { return false; }
-  void await_suspend(std::coroutine_handle<>) const {
-    Thread::current()->arm_event_wait(ev);
+  void await_suspend(std::coroutine_handle<>) {
+    Thread::current()->arm_guarded_wait(ev, &test, this);
   }
-  void await_resume() const noexcept {}
+  unsigned await_resume() const noexcept { return triggers; }
+
+  static bool test(void* self) {
+    auto& w = *static_cast<GuardedWait*>(self);
+    ++w.triggers;
+    return w.pred();
+  }
 };
 
 [[nodiscard]] inline TimedWait wait(SimTime delay) { return {delay}; }
-[[nodiscard]] inline EventWait wait(Event& ev) { return {ev}; }
+template <class Pred>
+[[nodiscard]] GuardedWait<Pred> wait_until(Event& ev, Pred pred) {
+  return {ev, std::move(pred)};
+}
+/// `co_await wait(event)` -- suspend until the event next triggers.
+[[nodiscard]] inline auto wait(Event& ev) {
+  return wait_until(ev, [] { return true; });
+}
 
 ///@}
 

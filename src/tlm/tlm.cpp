@@ -1,5 +1,6 @@
 #include "tlm/tlm.hpp"
 
+#include "ahb/types.hpp"
 #include "sim/report.hpp"
 
 namespace ahbp::tlm {
@@ -18,7 +19,7 @@ TlmBus::TlmBus(Config cfg)
 void TlmBus::map(TlmSlave& slave, std::uint32_t base, std::uint32_t size) {
   if (size == 0) throw SimError("TlmBus: empty slave range");
   for (const Mapping& m : map_) {
-    if (base < m.base + m.size && m.base < base + size) {
+    if (ahb::AddressRange{base, size}.overlaps({m.base, m.size})) {
       throw SimError("TlmBus: overlapping slave ranges");
     }
   }

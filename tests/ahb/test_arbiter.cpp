@@ -18,7 +18,6 @@ using test::Bench;
 struct ManualMaster : AhbMaster {
   ManualMaster(sim::Module* parent, std::string name, AhbBus& bus)
       : AhbMaster(parent, std::move(name), bus) {}
-  using AhbMaster::bus_signals;
 };
 
 struct ArbBench : Bench {

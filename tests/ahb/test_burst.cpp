@@ -215,22 +215,15 @@ TEST(Monitor, CatchesBrokenBurstSequence) {
     BadMaster(sim::Module* p, AhbBus& bus)
         : AhbMaster(p, "bad", bus), thread_(this, "t", [this] { return body(); }) {}
     sim::Task body() {
-      sim::Event& edge = clock().posedge_event();
-      sig_.hbusreq.write(true);
-      do {
-        co_await wait(edge);
-      } while (!(granted() && bus_signals().hready.read()));
+      request();
+      co_await owned_edge();
       sig_.htrans.write(raw(Trans::kNonSeq));
       sig_.hburst.write(raw(Burst::kIncr4));
       sig_.haddr.write(0x100);
-      do {
-        co_await wait(edge);
-      } while (!bus_signals().hready.read());
+      co_await ready_edge();
       sig_.htrans.write(raw(Trans::kSeq));
       sig_.haddr.write(0x200);  // WRONG: should be 0x104
-      do {
-        co_await wait(edge);
-      } while (!bus_signals().hready.read());
+      co_await ready_edge();
       sig_.htrans.write(raw(Trans::kIdle));
       sig_.hbusreq.write(false);
     }

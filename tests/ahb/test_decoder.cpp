@@ -26,6 +26,31 @@ TEST(AddressRange, ContainsAndOverlaps) {
   EXPECT_TRUE(a.overlaps(AddressRange{0x0, 0x10000}));
 }
 
+TEST(AddressRange, OverlapAtTheTopOfTheAddressSpace) {
+  // A range ending exactly at 4 GiB: base + size wraps to 0 in 32 bits.
+  const AddressRange top{0xFFFFF000, 0x1000};
+  const AddressRange inner{0xFFFFF800, 0x100};
+  const AddressRange below{0xFFFFE000, 0x1000};
+  EXPECT_TRUE(top.overlaps(inner));
+  EXPECT_TRUE(inner.overlaps(top));
+  EXPECT_FALSE(top.overlaps(below));
+  EXPECT_FALSE(below.overlaps(top));
+  // An empty range holds no address, so it overlaps nothing.
+  const AddressRange empty{0xFFFFF800, 0};
+  EXPECT_FALSE(top.overlaps(empty));
+  EXPECT_FALSE(empty.overlaps(top));
+}
+
+TEST(Decoder, RejectsOverlapEndingAt4GiB) {
+  Bench b;
+  MemorySlave top(&b.top, "top", b.bus, {.base = 0xFFFFF000, .size = 0x1000});
+  EXPECT_THROW(
+      MemorySlave(&b.top, "inner", b.bus, {.base = 0xFFFFF800, .size = 0x100}),
+      SimError);
+  EXPECT_NO_THROW(
+      MemorySlave(&b.top, "below", b.bus, {.base = 0xFFFFE000, .size = 0x1000}));
+}
+
 TEST(Decoder, RejectsOverlappingRanges) {
   Bench b;
   MemorySlave s0(&b.top, "s0", b.bus, {.base = 0x0000, .size = 0x1000});

@@ -19,25 +19,20 @@ struct WobblyMaster : AhbMaster {
   WobblyMaster(sim::Module* p, AhbBus& bus)
       : AhbMaster(p, "wobbly", bus), thread_(this, "t", [this] { return body(); }) {}
   sim::Task body() {
-    sim::Event& edge = clock().posedge_event();
-    sig_.hbusreq.write(true);
-    do {
-      co_await wait(edge);
-    } while (!(granted() && bus_signals().hready.read()));
+    request();
+    co_await owned_edge();
     // Launch a transfer into the slow slave...
     sig_.htrans.write(raw(Trans::kNonSeq));
     sig_.haddr.write(0x100);
     sig_.hwrite.write(true);
-    do {
-      co_await wait(edge);
-    } while (!bus_signals().hready.read());
+    co_await ready_edge();
     // First data-phase cycle (stalled): fire a second address phase and
     // then ILLEGALLY change it while HREADY is low.
     sig_.haddr.write(0x200);
-    co_await wait(edge);
+    co_await wait(edge_);
     sig_.haddr.write(0x300);  // illegal mid-wait change
-    co_await wait(edge);
-    co_await wait(edge);
+    co_await wait(edge_);
+    co_await wait(edge_);
     sig_.htrans.write(raw(Trans::kIdle));
     sig_.hbusreq.write(false);
   }
@@ -67,15 +62,12 @@ struct SeqFirstMaster : AhbMaster {
       : AhbMaster(p, "seqfirst", bus),
         thread_(this, "t", [this] { return body(); }) {}
   sim::Task body() {
-    sim::Event& edge = clock().posedge_event();
-    sig_.hbusreq.write(true);
-    do {
-      co_await wait(edge);
-    } while (!(granted() && bus_signals().hready.read()));
+    request();
+    co_await owned_edge();
     sig_.htrans.write(raw(Trans::kSeq));  // illegal: SEQ out of IDLE
     sig_.haddr.write(0x10);
-    co_await wait(edge);
-    co_await wait(edge);
+    co_await wait(edge_);
+    co_await wait(edge_);
     sig_.htrans.write(raw(Trans::kIdle));
     sig_.hbusreq.write(false);
   }
@@ -106,14 +98,11 @@ struct BusyIdleMaster : AhbMaster {
       : AhbMaster(p, "busyidle", bus),
         thread_(this, "t", [this] { return body(); }) {}
   sim::Task body() {
-    sim::Event& edge = clock().posedge_event();
-    sig_.hbusreq.write(true);
-    do {
-      co_await wait(edge);
-    } while (!(granted() && bus_signals().hready.read()));
+    request();
+    co_await owned_edge();
     sig_.htrans.write(raw(Trans::kBusy));  // illegal: BUSY out of IDLE
-    co_await wait(edge);
-    co_await wait(edge);
+    co_await wait(edge_);
+    co_await wait(edge_);
     sig_.htrans.write(raw(Trans::kIdle));
     sig_.hbusreq.write(false);
   }

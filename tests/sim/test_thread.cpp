@@ -122,6 +122,29 @@ TEST(Thread, WaitOnClockEdges) {
   EXPECT_EQ(c.edge_times[3], SimTime::ns(40));
 }
 
+TEST(Thread, WaitUntilResumesOnceWhenTheGuardHolds) {
+  Kernel k;
+  Module top(nullptr, "top");
+  Clock clk(&top, "clk", SimTime::ns(10), 0.5, SimTime::ns(10));
+  std::vector<std::pair<SimTime, unsigned>> resumes;  // (time, triggers)
+  Thread t(&top, "t", [&]() -> Task {
+    auto after_40ns = [&k] { return k.now() >= SimTime::ns(40); };
+    unsigned n = co_await wait_until(clk.posedge_event(), after_40ns);
+    resumes.emplace_back(k.now(), n);
+    // The guard already holds: still at least one trigger.
+    n = co_await wait_until(clk.posedge_event(), after_40ns);
+    resumes.emplace_back(k.now(), n);
+  });
+  k.run(SimTime::ns(100));
+  ASSERT_EQ(resumes.size(), 2u);
+  EXPECT_EQ(resumes[0], std::make_pair(SimTime::ns(40), 4u));
+  EXPECT_EQ(resumes[1], std::make_pair(SimTime::ns(50), 1u));
+  EXPECT_TRUE(t.done());
+  // The thread still executes at every edge it waits through: once at
+  // initialization, then at 10, 20, 30, 40 and 50 ns.
+  EXPECT_EQ(k.stats().processes_executed, 6u);
+}
+
 struct Producer : Module {
   Producer(Module* parent, std::string name, Signal<int>& out)
       : Module(parent, std::move(name)),

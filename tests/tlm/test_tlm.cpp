@@ -97,6 +97,19 @@ TEST(TlmBus, MapRejectsOverlap) {
   EXPECT_NO_THROW(bus.map(b, 0x1000, 0x1000));
 }
 
+TEST(TlmBus, MapRejectsOverlapEndingAt4GiB) {
+  TlmBus bus({});
+  TlmMemory top, inner, below;
+  bus.map(top, 0xFFFFF000, 0x1000);
+  EXPECT_THROW(bus.map(inner, 0xFFFFF800, 0x100), sim::SimError);
+  EXPECT_NO_THROW(bus.map(below, 0xFFFFE000, 0x1000));
+  std::uint32_t data = 0;
+  EXPECT_TRUE(bus.write(0, 0xFFFFFFFC, 7));
+  EXPECT_TRUE(bus.read(0, 0xFFFFFFFC, data));
+  EXPECT_EQ(data, 7u);
+  EXPECT_EQ(top.peek(0xFFC), 7u);
+}
+
 TEST(TlmBus, TransfersRouteAndCount) {
   TlmBus bus({});
   TlmMemory a, b;
