@@ -40,7 +40,6 @@ public:
 
 private:
   sim::Task body() {
-    const ahb::BusSignals& bus = bus_.bus();
     std::uint32_t frame = 0;
 
     for (;;) {
@@ -54,28 +53,27 @@ private:
 
       // Move one frame: read src word, then write it to dst (pipelined
       // read->write per word, like a real single-channel DMA). The
-      // signals are driven by hand here: the write's HWDATA is the word
-      // the read returns one cycle after the write's address phase.
+      // write's data is the word the read returns one cycle after the
+      // write's address phase.
       for (unsigned w = 0; w < cfg_.frame_words; ++w) {
         const std::uint32_t src = cfg_.src_base + 4 * ((frame * cfg_.frame_words + w) % 256);
         const std::uint32_t dst = cfg_.dst_base + 4 * (w % 256);
 
         // READ address phase.
-        sig_.htrans.write(ahb::raw(ahb::Trans::kNonSeq));
-        sig_.haddr.write(src);
-        sig_.hwrite.write(false);
+        issue({.addr = src});
         co_await ready_edge();
+        settle();
 
         // WRITE address phase; READ data phase completes at its end.
-        sig_.haddr.write(dst);
-        sig_.hwrite.write(true);
+        issue({.addr = dst, .write = true});
         co_await ready_edge();
-        const std::uint32_t data = bus.hrdata.read();  // the word just read
+        const std::optional<Completion> read = settle();
 
-        // WRITE data phase.
-        sig_.htrans.write(ahb::raw(ahb::Trans::kIdle));
-        sig_.hwdata.write(data);
+        // WRITE data phase carries the word just read.
+        set_write_data(read->rdata);
+        idle();
         co_await ready_edge();
+        settle();
       }
       ++frames_;
       ++frame;

@@ -4,6 +4,10 @@
     python3 scripts/perfbench_ab.py --parent ../base --change . \\
         --workload paper_observed --pairs 10 --seconds 20 --seed0 31
 
+--workload takes one workload, a comma list, or `all` (every workload in
+the parent's BENCHMARK.json); the workloads run one after another, each
+on the same seeds, and each gets its own table.
+
 Each tree's perfbench is built and run through that tree's own
 perfbench/run.py, so both sides use their own benchmark code. Pair i runs
 both trees on seed seed0 + i, the parent first in even pairs and the
@@ -15,6 +19,17 @@ parent's median and quartiles, the change's median, the ratio
 change / parent and the pairs the change won (ties count for neither
 side). With --trace 1 the runs are traced and the per-layer metrics are
 printed the same way (medians of a traced run, not end-to-end numbers).
+
+The verdict column reads, in this order of precedence:
+  gain        the change won at least 9 of every 10 pairs and its median
+              beats the parent's by more than the parent's q1-q3 spread;
+  worse       the change's median is worse than the parent's by more than
+              the metric's BENCHMARK.json bound (a fraction of the
+              parent's median);
+  unresolved  the parent's q1-q3 spread is wider than that bound, and
+              not every run of the change beats every run of the parent;
+  same        anything else.
+Per-layer metrics have no bound, so they read only gain or same.
 
 Before the first pair it checks that each tree will build its own
 sources, and exits with status 2 if --parent and --change name the same
@@ -94,31 +109,59 @@ def quartiles(values):
     return q1, med, q3
 
 
-def report(title, names, better, parent, change):
+def compare(pairs, better):
+    """Parent q1, median and q3, change median, and the pairs the change
+    won (ties count for neither side) over (parent, change) value pairs."""
+    q1, pmed, q3 = quartiles([p for p, _ in pairs])
+    cmed = statistics.median([c for _, c in pairs])
+    sign = 1 if better == "higher" else -1
+    won = sum(1 for p, c in pairs if sign * (c - p) > 0)
+    return q1, pmed, q3, cmed, won
+
+
+def verdict(pairs, better, bound):
+    """gain, worse, unresolved or same for (parent, change) value pairs;
+    `bound` is None for a metric without one."""
+    q1, pmed, q3, cmed, won = compare(pairs, better)
+    sign = 1 if better == "higher" else -1
+    gap = sign * (cmed - pmed)
+    if won * 10 >= 9 * len(pairs) and gap > q3 - q1:
+        return "gain"
+    if bound is None:
+        return "same"
+    if gap < -bound * abs(pmed):
+        return "worse"
+    beats_every_parent_run = (min(sign * c for _, c in pairs) >
+                              max(sign * p for p, _ in pairs))
+    if q3 - q1 > bound * abs(pmed) and not beats_every_parent_run:
+        return "unresolved"
+    return "same"
+
+
+def report(title, metrics, parent, change):
     print(f"\n{title}")
     print(f"  {'metric':<34} {'parent med':>12} {'parent q1':>12} "
-          f"{'parent q3':>12} {'change med':>12} {'ratio':>7} {'won':>7}")
-    for name in names:
+          f"{'parent q3':>12} {'change med':>12} {'ratio':>7} {'won':>7} "
+          f"{'verdict':>10}")
+    for m in metrics:
+        name = m["name"]
         pairs = [(p[name], c[name]) for p, c in zip(parent, change)
                  if name in p and name in c]
         if not pairs:
             continue
-        pv = [p for p, _ in pairs]
-        cv = [c for _, c in pairs]
-        q1, pmed, q3 = quartiles(pv)
-        cmed = statistics.median(cv)
-        sign = 1 if better.get(name, "lower") == "higher" else -1
-        won = sum(1 for p, c in pairs if sign * (c - p) > 0)
+        q1, pmed, q3, cmed, won = compare(pairs, m["better"])
         ratio = f"{cmed / pmed:7.3f}" if pmed else "      -"
         print(f"  {name:<34} {pmed:>12.6g} {q1:>12.6g} {q3:>12.6g} "
-              f"{cmed:>12.6g} {ratio} {won:>3}/{len(pairs):<3}")
+              f"{cmed:>12.6g} {ratio} {won:>3}/{len(pairs):<3} "
+              f"{verdict(pairs, m['better'], m.get('bound')):>10}")
 
 
 def main():
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--parent", required=True, help="parent checkout")
     p.add_argument("--change", required=True, help="changed checkout")
-    p.add_argument("--workload", required=True)
+    p.add_argument("--workload", required=True,
+                   help="a workload, a comma list of them, or all")
     p.add_argument("--pairs", type=int, default=10)
     p.add_argument("--seconds", type=float, default=20)
     p.add_argument("--seed0", type=int, default=1)
@@ -132,25 +175,26 @@ def main():
 
     with open(os.path.join(args.parent, "BENCHMARK.json")) as f:
         spec = json.load(f)
-    parent, change = [], []
-    for i in range(args.pairs):
-        seed = args.seed0 + i
-        order = [("parent", args.parent), ("change", args.change)]
-        if i % 2 == 1:
-            order.reverse()
-        got = {side: run(tree, args.workload, seed, args.seconds, args.trace)
-               for side, tree in order}
-        parent.append(got["parent"])
-        change.append(got["change"])
-        print(f"pair {i + 1}/{args.pairs} seed {seed}: "
-              f"{order[0][0]} first, all runs correct", file=sys.stderr)
-
+    workloads = ([w["name"] for w in spec["workloads"]]
+                 if args.workload == "all" else args.workload.split(","))
     metrics = spec["per_layer"] if args.trace else spec["end_to_end"]
-    better = {m["name"]: m["better"] for m in metrics}
-    report(f"{args.workload}: {args.pairs} alternating pairs, seeds "
-           f"{args.seed0}..{args.seed0 + args.pairs - 1}, {args.seconds:g} s "
-           f"runs{', traced' if args.trace else ''}",
-           [m["name"] for m in metrics], better, parent, change)
+    for workload in workloads:
+        parent, change = [], []
+        for i in range(args.pairs):
+            seed = args.seed0 + i
+            order = [("parent", args.parent), ("change", args.change)]
+            if i % 2 == 1:
+                order.reverse()
+            got = {side: run(tree, workload, seed, args.seconds, args.trace)
+                   for side, tree in order}
+            parent.append(got["parent"])
+            change.append(got["change"])
+            print(f"pair {i + 1}/{args.pairs} seed {seed}: "
+                  f"{order[0][0]} first, all runs correct", file=sys.stderr)
+        report(f"{workload}: {args.pairs} alternating pairs, seeds "
+               f"{args.seed0}..{args.seed0 + args.pairs - 1}, "
+               f"{args.seconds:g} s runs{', traced' if args.trace else ''}",
+               metrics, parent, change)
     return 0
 
 

@@ -63,6 +63,10 @@ protected:
   void issue(const Transfer& t);
   /// Drives no new address phase (HTRANS IDLE) beside the data phase.
   void idle();
+  /// Sets the write data of the transfer now in the data phase, for a
+  /// write whose data is known only after its address phase; the next
+  /// issue() or idle() drives it.
+  void set_write_data(std::uint32_t data) { data_phase_.value().data = data; }
   void request() { sig_.hbusreq.write(true); }
   /// idle() and drop the bus request.
   void release();

@@ -49,6 +49,7 @@ MemorySlave::MemorySlave(sim::Module* parent, std::string name, AhbBus& bus,
                          Config cfg)
     : AhbSlave(parent, std::move(name), bus, cfg.base, cfg.size),
       cfg_(cfg),
+      mem_(cfg.size / 4),
       proc_(this, "clocked", [this] { on_clock(); }) {
   if (cfg_.size == 0 || cfg_.size % 4 != 0) {
     throw SimError("MemorySlave: size must be a positive multiple of 4");
@@ -57,12 +58,11 @@ MemorySlave::MemorySlave(sim::Module* parent, std::string name, AhbBus& bus,
 }
 
 std::uint32_t MemorySlave::peek(std::uint32_t addr) const {
-  const auto it = mem_.find(addr / 4);
-  return it == mem_.end() ? 0 : it->second;
+  return mem_.at(addr / 4);
 }
 
 void MemorySlave::poke(std::uint32_t addr, std::uint32_t value) {
-  mem_[addr / 4] = value;
+  mem_.at(addr / 4) = value;
 }
 
 void MemorySlave::on_clock() {
@@ -100,7 +100,7 @@ void MemorySlave::on_clock() {
   if (busy_ && !completing_) {
     ++stats_.wait_cycles;
     if (--waits_left_ == 0) {
-      if (!op_write_) sig_.hrdata.write(peek(op_addr_ - cfg_.base));
+      if (!op_write_) sig_.hrdata.write(mem_[(op_addr_ - cfg_.base) / 4]);
       sig_.hreadyout.write(true);
       completing_ = true;
     }
@@ -163,7 +163,7 @@ void MemorySlave::on_clock() {
   const unsigned waits = cfg_.wait_states + fault.extra_waits;
   stats_.jitter_cycles += fault.extra_waits;
   if (waits == 0) {
-    if (!op_write_) sig_.hrdata.write(peek(op_addr_ - cfg_.base));
+    if (!op_write_) sig_.hrdata.write(mem_[(op_addr_ - cfg_.base) / 4]);
     sig_.hreadyout.write(true);  // already true, but keep the intent clear
     completing_ = true;
   } else {

@@ -6,7 +6,6 @@
 #include <cstdint>
 #include <functional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "ahb/signals.hpp"
@@ -74,8 +73,10 @@ protected:
 /// A word-wide memory slave.
 ///
 /// Supports zero-wait operation or a fixed number of wait states per
-/// transfer. Storage is sparse (unordered map keyed by word address), so
-/// large address ranges cost nothing until touched.
+/// transfer. Storage is dense: one word per 4 bytes of the mapped range,
+/// allocated at construction and zero until written, so a slave costs
+/// its mapped size in memory (4 KiB per paper slave, 12 KiB the largest
+/// in the repository) and a transfer never allocates.
 ///
 /// An optional FaultHook turns any memory slave into a fault injector:
 /// the hook is consulted once per accepted transfer and can demand a
@@ -104,7 +105,9 @@ public:
 
   MemorySlave(sim::Module* parent, std::string name, AhbBus& bus, Config cfg);
 
-  /// Backdoor access for tests and initialization (word-aligned).
+  /// Backdoor access for tests and initialization: `addr` is a
+  /// slave-relative byte offset (word-aligned); outside [0, size) throws
+  /// std::out_of_range.
   [[nodiscard]] std::uint32_t peek(std::uint32_t addr) const;
   void poke(std::uint32_t addr, std::uint32_t value);
 
@@ -115,7 +118,7 @@ private:
 
   Config cfg_;
   Stats stats_;
-  std::unordered_map<std::uint32_t, std::uint32_t> mem_;
+  std::vector<std::uint32_t> mem_;  ///< size / 4 words
 
   // Data-phase state machine.
   bool busy_ = false;        ///< a transfer's data phase is in flight

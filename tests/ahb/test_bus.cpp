@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "ahb/ahb.hpp"
 #include "testbench.hpp"
 
@@ -217,6 +219,55 @@ TEST(Bus, PokeAndPeekBackdoor) {
   b.run_cycles(20);
   ASSERT_TRUE(m.finished());
   EXPECT_EQ(m.results()[0].data, 0x12345678u);
+}
+
+TEST(MemorySlave, UnwrittenWordsReadZero) {
+  Bench b;
+  DefaultMaster dm(&b.top, "dm", b.bus);
+  ScriptedMaster m(&b.top, "m", b.bus,
+                   {write_op(0x40, 0x1234), read_op(0x3C), read_op(0x44),
+                    read_op(0x0)});
+  MemorySlave mem(&b.top, "mem", b.bus, {.base = 0, .size = 0x1000});
+  b.bus.finalize();
+  b.run_cycles(30);
+  ASSERT_TRUE(m.finished());
+  ASSERT_EQ(m.results().size(), 4u);
+  for (std::size_t i = 1; i < 4; ++i) {
+    EXPECT_EQ(m.results()[i].data, 0u) << i;
+  }
+  EXPECT_EQ(mem.peek(0x40), 0x1234u);
+  EXPECT_EQ(mem.peek(0xFFC), 0u);
+}
+
+TEST(MemorySlave, LastWordOfMappedRange) {
+  Bench b;
+  DefaultMaster dm(&b.top, "dm", b.bus);
+  ScriptedMaster m(&b.top, "m", b.bus,
+                   {write_op(0x0FFC, 0xA5A5A5A5), write_op(0x1FFC, 0x5A5A5A5A),
+                    read_op(0x0FFC), read_op(0x1FFC)});
+  MemorySlave a(&b.top, "a", b.bus, {.base = 0x0000, .size = 0x1000});
+  MemorySlave c(&b.top, "c", b.bus, {.base = 0x1000, .size = 0x1000, .wait_states = 1});
+  b.bus.finalize();
+  BusMonitor mon(&b.top, "mon", b.bus);
+  b.run_cycles(40);
+  ASSERT_TRUE(m.finished());
+  ASSERT_EQ(m.results().size(), 4u);
+  EXPECT_EQ(m.results()[2].data, 0xA5A5A5A5u);
+  EXPECT_EQ(m.results()[3].data, 0x5A5A5A5Au);
+  EXPECT_EQ(a.peek(0xFFC), 0xA5A5A5A5u);
+  EXPECT_EQ(c.peek(0xFFC), 0x5A5A5A5Au);  // slave-relative offset
+  EXPECT_EQ(c.peek(0x0), 0u);
+  EXPECT_TRUE(mon.violations().empty());
+}
+
+TEST(MemorySlave, PeekPokeOutsideMappedRangeThrow) {
+  Bench b;
+  MemorySlave mem(&b.top, "mem", b.bus, {.base = 0x1000, .size = 0x100});
+  mem.poke(0xFC, 7);
+  EXPECT_EQ(mem.peek(0xFC), 7u);
+  EXPECT_THROW(mem.poke(0x100, 1), std::out_of_range);
+  EXPECT_THROW((void)mem.peek(0x100), std::out_of_range);
+  EXPECT_THROW((void)mem.peek(0x1000), std::out_of_range);  // absolute address
 }
 
 TEST(Bus, RunWithoutFinalizeHasNoBusActivity) {

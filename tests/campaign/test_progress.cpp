@@ -271,19 +271,32 @@ std::vector<FinishAges> finish_ages(double heartbeat_interval_seconds) {
   return ages;
 }
 
+/// True when the tracker heard the run's worker at least 250 ms into
+/// the 400 ms spec: as strict as "heard within 150 ms of the finish" on
+/// an unloaded machine, but timed from the run's start, so scheduler
+/// delay, which postpones the finish and the parent's reading of beats,
+/// does not count against it. A worker that beats only for its first
+/// spec, or only once per spec, fails it.
+bool heard_late_in_run(const FinishAges& a) {
+  return a.age_seconds - a.heartbeat_age_seconds > 0.25;
+}
+
 TEST(ProgressTracker, HeartbeatsFlowForEverySpecAWorkerServes) {
   const std::vector<FinishAges> beating = finish_ages(0.05);
   ASSERT_EQ(beating.size(), 2u);
   for (const FinishAges& a : beating) {
     EXPECT_GT(a.age_seconds, 0.3);
-    EXPECT_LT(a.heartbeat_age_seconds, 0.15);
+    EXPECT_TRUE(heard_late_in_run(a))
+        << "age " << a.age_seconds << " s, heartbeat age "
+        << a.heartbeat_age_seconds << " s";
   }
   // Control: with heartbeats off nothing refreshes liveness, so the
-  // heartbeat age is the run's whole age and the check above would fail.
+  // heartbeat age is the run's whole age and the check above fails.
   const std::vector<FinishAges> silent = finish_ages(0.0);
   ASSERT_EQ(silent.size(), 2u);
   for (const FinishAges& a : silent) {
     EXPECT_GE(a.heartbeat_age_seconds, a.age_seconds);
+    EXPECT_FALSE(heard_late_in_run(a));
   }
 }
 
