@@ -35,13 +35,12 @@ struct Sample {
 Sample run_cycle_accurate() {
   Sample s;
   const double t0 = bench::thread_cpu_seconds();
-  bench::PaperSystem sys;
+  campaign::PaperTestbench sys;
   sys.run(sim::SimTime::us(1000));
   s.cpu_s = bench::thread_cpu_seconds() - t0;
   s.energy = sys.est->total_energy();
   s.cycles = sys.est->fsm().cycles();
-  s.transfers = sys.m1.stats().writes + sys.m1.stats().reads +
-                sys.m2.stats().writes + sys.m2.stats().reads;
+  for (const auto& m : sys.masters) s.transfers += m->stats().writes + m->stats().reads;
   return s;
 }
 

@@ -35,7 +35,7 @@ struct Binned {
 int main() {
   std::puts("=== Ablation: instruction-set granularity (paper Sec. 3) ===\n");
 
-  bench::PaperSystem sys;
+  campaign::PaperTestbench sys;
   // A custom report sink re-bins the same per-cycle energies at all
   // three granularities simultaneously.
   struct MultiGranularitySink : ahb::CycleSubscriber {

@@ -32,7 +32,7 @@ int main() {
   double t_func = 0.0;
   {
     const auto t0 = Clock::now();
-    bench::PaperSystem sys({.power_enabled = false});
+    campaign::PaperTestbench sys({.power = std::nullopt});
     sys.run(kSimTime);
     t_func = ms_since(t0);
   }
@@ -40,7 +40,7 @@ int main() {
   double e_local = 0.0, t_local = 0.0;
   {
     const auto t0 = Clock::now();
-    bench::PaperSystem sys;
+    campaign::PaperTestbench sys;
     sys.run(kSimTime);
     t_local = ms_since(t0);
     e_local = sys.est->total_energy();
@@ -50,7 +50,7 @@ int main() {
   std::uint64_t posted = 0;
   {
     const auto t0 = Clock::now();
-    bench::PaperSystem sys({.power_enabled = false});
+    campaign::PaperTestbench sys({.power = std::nullopt});
     power::GlobalPowerAnalyzer an(&sys.top, "an",
                                   power::PowerFsm::Config{
                                       .n_masters = sys.bus.n_masters(),
@@ -66,7 +66,7 @@ int main() {
   std::uint64_t events = 0;
   {
     const auto t0 = Clock::now();
-    bench::PaperSystem sys({.power_enabled = false});
+    campaign::PaperTestbench sys({.power = std::nullopt});
     power::PrivatePowerModel priv(&sys.top, "priv", sys.bus);
     sys.run(kSimTime);
     t_priv = ms_since(t0);

@@ -18,10 +18,9 @@ int main() {
 
   // 20 ns .. 4 us at the 100 MHz bus clock.
   for (const std::uint64_t cycles : {2, 5, 10, 50, 100, 400}) {
-    bench::PaperSystem sys({.telemetry_window_cycles = cycles});
-    sys.run(sim::SimTime::us(4));
-    sys.est->flush_telemetry();
-    if (!bench::windows_conserve_energy(*sys.est)) return 1;
+    campaign::PaperTestbench sys(
+        {.power = power::AhbPowerEstimator::Config{.telemetry_window_cycles = cycles}});
+    if (!bench::run_and_check_windows(sys, sim::SimTime::us(4))) return 1;
     const sim::SimTime period = sys.clk.period();
     const std::vector<double> power =
         power::window_power(*sys.est->windows(), "total", period);

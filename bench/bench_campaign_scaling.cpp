@@ -29,22 +29,19 @@ namespace {
 
 using namespace ahbp;
 
-std::vector<campaign::RunSpec> paper_sweep(unsigned n_seeds, sim::SimTime dur) {
+std::vector<campaign::RunSpec> paper_sweep(unsigned n_seeds, std::uint64_t cycles) {
   std::vector<campaign::RunSpec> specs;
   for (const auto policy : {ahb::ArbitrationPolicy::kFixedPriority,
                             ahb::ArbitrationPolicy::kRoundRobin}) {
     for (const unsigned waits : {0u, 1u, 3u}) {
       for (unsigned s = 0; s < n_seeds; ++s) {
-        bench::PaperSystem::Options opt;
-        opt.policy = policy;
-        opt.wait_states = waits;
-        opt.seed1 = 101 + 1000 * s;
-        opt.seed2 = 202 + 1000 * s;
         const std::string name =
             std::string(policy == ahb::ArbitrationPolicy::kFixedPriority ? "fixed"
                                                                          : "rr") +
             "/w" + std::to_string(waits) + "/s" + std::to_string(s);
-        specs.push_back(bench::paper_run_spec(name, opt, dur));
+        specs.push_back(campaign::PaperTestbench::spec(
+            name, {.policy = policy, .wait_states = waits,
+                   .master_seeds = {101 + 1000 * s, 202 + 1000 * s}}, cycles));
       }
     }
   }
@@ -63,9 +60,9 @@ struct Point {
 int main(int argc, char** argv) {
   const bool smoke = argc > 1 && std::strcmp(argv[1], "--smoke") == 0;
   const unsigned n_seeds = smoke ? 2u : 4u;  // 2*3*n_seeds runs total
-  const sim::SimTime dur = smoke ? sim::SimTime::us(5) : sim::SimTime::us(50);
+  const std::uint64_t cycles = smoke ? 500 : 5000;  // 5 or 50 us
 
-  const std::vector<campaign::RunSpec> specs = paper_sweep(n_seeds, dur);
+  const std::vector<campaign::RunSpec> specs = paper_sweep(n_seeds, cycles);
 
   const unsigned hw = campaign::Campaign::hardware_threads();
   std::vector<unsigned> counts{1};

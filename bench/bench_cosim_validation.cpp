@@ -14,7 +14,7 @@
 int main() {
   using namespace ahbp;
 
-  bench::PaperSystem sys;
+  campaign::PaperTestbench sys;
   power::GateLevelCrossCheck check(&sys.top, "cosim", sys.bus);
 
   std::puts("=== Live gate-level co-simulation validation (50 us workload) ===\n");

@@ -25,24 +25,23 @@ struct DpmResult {
 };
 
 DpmResult run_with_budget(double budget_watts) {
-  bench::PaperSystem sys;
+  campaign::PaperTestbench sys;
   std::unique_ptr<power::PowerGovernor> gov;
   if (budget_watts > 0) {
     gov = std::make_unique<power::PowerGovernor>(
         &sys.top, "gov", *sys.est,
         power::PowerGovernor::Config{.budget_watts = budget_watts,
                                      .window_cycles = 32});
-    sys.m1.set_throttle(&gov->throttle());
-    sys.m2.set_throttle(&gov->throttle());
+    for (const auto& m : sys.masters) m->set_throttle(&gov->throttle());
   }
   sys.run(sim::SimTime::us(100));
 
   DpmResult r;
   r.mean_power = sys.est->total_energy() / sys.kernel.now().to_seconds();
-  r.transfers = sys.m1.stats().writes + sys.m1.stats().reads +
-                sys.m2.stats().writes + sys.m2.stats().reads;
-  r.throttled_cycles =
-      sys.m1.stats().throttled_cycles + sys.m2.stats().throttled_cycles;
+  for (const auto& m : sys.masters) {
+    r.transfers += m->stats().writes + m->stats().reads;
+    r.throttled_cycles += m->stats().throttled_cycles;
+  }
   if (gov) {
     r.peak_window_power = gov->stats().peak_window_power;
     r.over_budget_windows = gov->stats().over_budget_windows;

@@ -13,17 +13,16 @@ int main() {
   using namespace ahbp;
 
   // 10-cycle (100 ns) windows.
-  bench::PaperSystem sys({.telemetry_window_cycles = 10});
+  campaign::PaperTestbench sys(
+      {.power = power::AhbPowerEstimator::Config{.telemetry_window_cycles = 10}});
   std::puts("=== Figure 3: total AHB power consumption (first 4 us) ===\n");
 
-  sys.run(sim::SimTime::us(4));
-  sys.est->flush_telemetry();
+  if (!bench::run_and_check_windows(sys, sim::SimTime::us(4))) return 1;
 
   const telemetry::WindowSeries& series = *sys.est->windows();
   const sim::SimTime period = sys.clk.period();
   std::fputs(power::format_trace(series, "total", period, sim::SimTime::us(4)).c_str(),
              stdout);
-  if (!bench::windows_conserve_energy(*sys.est)) return 1;
 
   const std::vector<double> power = power::window_power(series, "total", period);
   double peak = 0.0, mean = 0.0;

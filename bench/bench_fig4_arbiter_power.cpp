@@ -10,17 +10,16 @@
 int main() {
   using namespace ahbp;
 
-  bench::PaperSystem sys({.telemetry_window_cycles = 10});  // 100 ns windows
+  campaign::PaperTestbench sys(  // 100 ns windows
+      {.power = power::AhbPowerEstimator::Config{.telemetry_window_cycles = 10}});
   std::puts("=== Figure 4: arbiter power consumption (first 4 us) ===\n");
 
-  sys.run(sim::SimTime::us(4));
-  sys.est->flush_telemetry();
+  if (!bench::run_and_check_windows(sys, sim::SimTime::us(4))) return 1;
 
   const telemetry::WindowSeries& series = *sys.est->windows();
   const sim::SimTime period = sys.clk.period();
   std::fputs(power::format_trace(series, "arb", period, sim::SimTime::us(4)).c_str(),
              stdout);
-  if (!bench::windows_conserve_energy(*sys.est)) return 1;
 
   double peak_arb = 0.0, peak_m2s = 0.0, sum_arb = 0.0, sum_m2s = 0.0;
   for (const double w : power::window_power(series, "arb", period)) {

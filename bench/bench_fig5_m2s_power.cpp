@@ -10,17 +10,16 @@
 int main() {
   using namespace ahbp;
 
-  bench::PaperSystem sys({.telemetry_window_cycles = 10});  // 100 ns windows
+  campaign::PaperTestbench sys(  // 100 ns windows
+      {.power = power::AhbPowerEstimator::Config{.telemetry_window_cycles = 10}});
   std::puts("=== Figure 5: M2S multiplexer power consumption (first 4 us) ===\n");
 
-  sys.run(sim::SimTime::us(4));
-  sys.est->flush_telemetry();
+  if (!bench::run_and_check_windows(sys, sim::SimTime::us(4))) return 1;
 
   const telemetry::WindowSeries& series = *sys.est->windows();
   const sim::SimTime period = sys.clk.period();
   std::fputs(power::format_trace(series, "m2s", period, sim::SimTime::us(4)).c_str(),
              stdout);
-  if (!bench::windows_conserve_energy(*sys.est)) return 1;
 
   double peak = 0.0;
   double e_m2s = 0.0, e_total = 0.0;

@@ -10,7 +10,7 @@
 int main() {
   using namespace ahbp;
 
-  bench::PaperSystem sys;
+  campaign::PaperTestbench sys;
   std::puts("=== Figure 6: AHB sub-blocks power contribution (50 us) ===\n");
 
   sys.run(sim::SimTime::us(50));

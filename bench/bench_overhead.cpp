@@ -122,7 +122,8 @@ double telemetry_sample(bool with_registry) {
   const double t0 = thread_cpu_seconds();
   telemetry::MetricsRegistry metrics;
   metrics.set_enabled(false);
-  bench::PaperSystem sys({.metrics = with_registry ? &metrics : nullptr});
+  campaign::PaperTestbench sys({.power = power::AhbPowerEstimator::Config{
+                                    .metrics = with_registry ? &metrics : nullptr}});
   sys.run(kSimTime);
   g_sink = sys.est->total_energy();
   return thread_cpu_seconds() - t0;
@@ -133,7 +134,8 @@ double txn_sample(bool with_tracer) {
   // 3x the telemetry guard's run per sample: the disabled tracer costs one
   // branch, so longer samples keep timer granularity out of the ratio.
   const double t0 = thread_cpu_seconds();
-  bench::PaperSystem sys({.txn_trace = with_tracer});
+  campaign::PaperTestbench sys(
+      {.power = power::AhbPowerEstimator::Config{.txn_trace = with_tracer}});
   if (with_tracer) sys.est->txn_tracer()->set_enabled(false);
   sys.run(kSimTime * 3);
   g_sink = sys.est->total_energy();
@@ -154,14 +156,8 @@ double events_sample(bool with_events) {
   std::vector<campaign::RunSpec> specs;
   specs.reserve(48);
   for (int i = 0; i < 48; ++i) {
-    specs.push_back({"guard_" + std::to_string(i), [] {
-                       bench::PaperSystem sys;
-                       sys.run(sim::SimTime::us(5));
-                       campaign::PowerReport r;
-                       r.total_energy = sys.est->total_energy();
-                       r.cycles = 500;
-                       return r;
-                     }});
+    specs.push_back(
+        campaign::PaperTestbench::spec("guard_" + std::to_string(i), {}, 500));
   }
   // One worker: the campaign runs every spec inline on this thread, so
   // its CPU clock sees all of the work.

@@ -43,7 +43,7 @@ int main() {
 
   std::vector<double> data, arb, total, wr;
   for (std::uint64_t seed = 1; seed <= 10; ++seed) {
-    bench::PaperSystem sys({.seed1 = seed * 17, .seed2 = seed * 31 + 5});
+    campaign::PaperTestbench sys({.master_seeds = {seed * 17, seed * 31 + 5}});
     sys.run(sim::SimTime::us(50));
     const power::PowerFsm& fsm = sys.est->fsm();
     data.push_back(100.0 * power::data_transfer_share(fsm));

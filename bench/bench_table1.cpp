@@ -18,7 +18,7 @@
 int main() {
   using namespace ahbp;
 
-  bench::PaperSystem sys;
+  campaign::PaperTestbench sys;
   std::puts("=== Table 1: instructions energy analysis ===");
   std::puts("testbench: 2 traffic masters (WRITE-READ sequences + IDLE),");
   std::puts("           1 default master, 3 slaves, 100 MHz, 50 us\n");

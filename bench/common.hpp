@@ -1,88 +1,29 @@
 #pragma once
-// Shared testbench for the paper-reproduction benches: the exact topology
-// of the paper's evaluation (Sec. 5) -- two traffic masters executing
-// WRITE-READ non-interruptible sequences and IDLE commands, one simple
-// default master, and three slaves on an AMBA AHB, clocked at 100 MHz.
+// Shared helpers for the paper-reproduction benches. The testbench of
+// the paper's evaluation (Sec. 5) is campaign::PaperTestbench; its
+// default Config, seeds 101/202, is the rig every bench runs.
 
 #include <time.h>
 
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <memory>
-#include <string>
-#include <utility>
 #include <vector>
 
-#include "ahb/ahb.hpp"
-#include "campaign/campaign.hpp"
+#include "campaign/testbench.hpp"
 #include "power/power.hpp"
 #include "sim/sim.hpp"
 #include "telemetry/telemetry.hpp"
 
 namespace ahbp::bench {
 
-/// The paper's system, with a power estimator attached.
-struct PaperSystem {
-  struct Options {
-    ahb::ArbitrationPolicy policy = ahb::ArbitrationPolicy::kFixedPriority;
-    unsigned wait_states = 0;
-    bool power_enabled = true;
-    std::uint64_t seed1 = 101;
-    std::uint64_t seed2 = 202;
-    /// Power window in bus cycles for the Figs 3-5 series and the
-    /// telemetry exporters (0 = off).
-    std::uint64_t telemetry_window_cycles = 0;
-    /// Reconstruct per-transaction spans with attributed energy.
-    bool txn_trace = false;
-    /// Hot-path metrics sink (nullptr = no metrics).
-    telemetry::MetricsRegistry* metrics = nullptr;
-  };
-
-  PaperSystem() : PaperSystem(Options{}) {}
-
-  explicit PaperSystem(Options opt)
-      : top(nullptr, "top"),
-        clk(&top, "clk", sim::SimTime::ns(10), 0.5, sim::SimTime::ns(10)),
-        bus(&top, "ahb", clk, ahb::AhbBus::Config{.policy = opt.policy}),
-        dm(&top, "default_master", bus),
-        m1(&top, "m1", bus,
-           {.addr_base = 0x0000, .addr_range = 0x1000, .seed = opt.seed1}),
-        m2(&top, "m2", bus,
-           {.addr_base = 0x1000, .addr_range = 0x1000, .seed = opt.seed2}),
-        s1(&top, "s1", bus,
-           {.base = 0x0000, .size = 0x1000, .wait_states = opt.wait_states}),
-        s2(&top, "s2", bus,
-           {.base = 0x1000, .size = 0x1000, .wait_states = opt.wait_states}),
-        s3(&top, "s3", bus,
-           {.base = 0x2000, .size = 0x1000, .wait_states = opt.wait_states}) {
-    bus.finalize();
-    if (opt.power_enabled) {
-      est = std::make_unique<power::AhbPowerEstimator>(
-          &top, "power", bus,
-          power::AhbPowerEstimator::Config{
-              .telemetry_window_cycles = opt.telemetry_window_cycles,
-              .txn_trace = opt.txn_trace,
-              .metrics = opt.metrics});
-    }
-  }
-
-  /// Runs for the given simulated duration (100 MHz clock).
-  void run(sim::SimTime t) { kernel.run(t); }
-
-  sim::Kernel kernel;
-  sim::Module top;
-  sim::Clock clk;
-  ahb::AhbBus bus;
-  ahb::DefaultMaster dm;
-  ahb::TrafficMaster m1, m2;
-  ahb::MemorySlave s1, s2, s3;
-  std::unique_ptr<power::AhbPowerEstimator> est;
-};
-
-/// True when the estimator's window series (flushed) sums to its total
-/// energy within 1e-9 relative; otherwise prints a CHECK FAILED line.
-inline bool windows_conserve_energy(const power::AhbPowerEstimator& est) {
+/// Runs `sys` for `t` and flushes its estimator's telemetry. True when
+/// the window series then sums to the total energy within 1e-9 relative;
+/// otherwise prints a CHECK FAILED line.
+inline bool run_and_check_windows(campaign::PaperTestbench& sys, sim::SimTime t) {
+  sys.run(t);
+  power::AhbPowerEstimator& est = *sys.est;
+  est.flush_telemetry();
   double sum = 0.0;
   for (const double e : power::window_energy(*est.windows(), "total")) sum += e;
   const double total = est.total_energy();
@@ -90,23 +31,6 @@ inline bool windows_conserve_energy(const power::AhbPowerEstimator& est) {
   std::printf("CONSERVATION CHECK FAILED: windows hold %.17g J, estimator %.17g J\n",
               sum, total);
   return false;
-}
-
-/// Campaign spec over the paper testbench: builds a complete
-/// PaperSystem (kernel included) on whatever thread executes the spec,
-/// runs it for `duration`, and reports the estimator's totals. Seeds
-/// live in `opt`, so the same spec is bit-identical on every rerun.
-inline campaign::RunSpec paper_run_spec(std::string name, PaperSystem::Options opt,
-                                        sim::SimTime duration) {
-  return campaign::RunSpec{std::move(name), [opt, duration] {
-                             PaperSystem sys(opt);
-                             sys.run(duration);
-                             campaign::PowerReport r;
-                             r.total_energy = sys.est->total_energy();
-                             r.blocks = sys.est->block_totals();
-                             r.cycles = sys.est->fsm().cycles();
-                             return r;
-                           }};
 }
 
 /// CPU seconds the calling thread spent so far. Timing guards measure

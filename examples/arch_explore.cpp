@@ -9,11 +9,11 @@
 // RTL exists.
 
 #include <cstdio>
-#include <memory>
 #include <vector>
 
 #include "ahb/ahb.hpp"
 #include "campaign/campaign.hpp"
+#include "campaign/testbench.hpp"
 #include "gate/area.hpp"
 #include "power/power.hpp"
 #include "sim/sim.hpp"
@@ -22,46 +22,22 @@ namespace {
 
 using namespace ahbp;
 
-/// One configuration as a campaign spec: the whole system (kernel
+/// One configuration as a campaign spec: the paper testbench (kernel
 /// included) is built, run and torn down on the worker thread; fixed
 /// seeds make every rerun bit-identical.
 campaign::RunSpec config_spec(ahb::ArbitrationPolicy policy, unsigned wait_states,
                               unsigned n_slaves) {
-  return {"cfg", [policy, wait_states, n_slaves] {
-            sim::Kernel kernel;
-            sim::Module top(nullptr, "top");
-            sim::Clock clk(&top, "clk", sim::SimTime::ns(10), 0.5,
-                           sim::SimTime::ns(10));
-            ahb::AhbBus bus(&top, "ahb", clk, ahb::AhbBus::Config{.policy = policy});
-
-            ahb::DefaultMaster dm(&top, "dm", bus);
-            ahb::TrafficMaster m1(
-                &top, "m1", bus,
-                {.addr_base = 0x0000, .addr_range = 0x1000, .seed = 1});
-            ahb::TrafficMaster m2(
-                &top, "m2", bus,
-                {.addr_base = 0x1000, .addr_range = 0x1000, .seed = 2});
-
-            std::vector<std::unique_ptr<ahb::MemorySlave>> slaves;
-            for (unsigned s = 0; s < n_slaves; ++s) {
-              slaves.push_back(std::make_unique<ahb::MemorySlave>(
-                  &top, "s" + std::to_string(s), bus,
-                  ahb::MemorySlave::Config{.base = 0x1000u * s,
-                                           .size = 0x1000,
-                                           .wait_states = wait_states}));
-            }
-            bus.finalize();
-            ahb::BusMonitor mon(&top, "mon", bus);
-            power::AhbPowerEstimator est(&top, "power", bus);
-
-            kernel.run(sim::SimTime::us(50));
-
-            campaign::PowerReport r;
-            r.total_energy = est.total_energy();
-            r.blocks = est.block_totals();
-            r.cycles = est.fsm().cycles();
-            r.transfers = mon.stats().transfers;
-            r.metrics["handovers"] = static_cast<double>(mon.stats().handovers);
+  const campaign::PaperTestbench::Config cfg{.policy = policy,
+                                             .wait_states = wait_states,
+                                             .master_seeds = {1, 2},
+                                             .slaves = n_slaves,
+                                             .monitor = ahb::BusMonitor::Config{}};
+  return {"cfg", [cfg] {
+            campaign::PaperTestbench tb(cfg);
+            tb.run(sim::SimTime::us(50));
+            campaign::PowerReport r = tb.report();
+            r.metrics["handovers"] =
+                static_cast<double>(tb.monitor->stats().handovers);
             return r;
           }};
 }

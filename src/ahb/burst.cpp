@@ -23,30 +23,42 @@ std::uint32_t wrap_boundary(std::uint32_t addr, Burst burst, Size size) {
   return addr & ~(block - 1);
 }
 
-BurstMaster::BurstMaster(sim::Module* parent, std::string name, AhbBus& bus,
-                         Config cfg)
-    : AhbMaster(parent, std::move(name), bus),
-      cfg_(cfg),
-      rng_(cfg.seed),
-      beats_(cfg.burst == Burst::kIncr ? cfg.incr_beats : burst_beats(cfg.burst)),
-      thread_(this, "proc", [this] { return body(); }) {
-  if (cfg_.burst == Burst::kSingle) {
+namespace {
+
+unsigned beats_of(const BurstMaster::Config& cfg) {
+  return cfg.burst == Burst::kIncr ? cfg.incr_beats : burst_beats(cfg.burst);
+}
+
+/// Throws on a bad config; returns `bus`, so a rejected master never attaches.
+AhbBus& checked(const BurstMaster::Config& cfg, AhbBus& bus) {
+  if (cfg.burst == Burst::kSingle) {
     throw SimError("BurstMaster: use TrafficMaster for SINGLE transfers");
   }
-  if (cfg_.burst == Burst::kIncr && cfg_.incr_beats < 2) {
+  if (cfg.burst == Burst::kIncr && cfg.incr_beats < 2) {
     throw SimError("BurstMaster: INCR bursts need >= 2 beats");
   }
-  if (cfg_.busy_percent > 100) throw SimError("BurstMaster: busy_percent > 100");
-  if (cfg_.addr_range < beats_ * 4) {
+  if (cfg.busy_percent > 100) throw SimError("BurstMaster: busy_percent > 100");
+  if (cfg.addr_range < beats_of(cfg) * 4) {
     throw SimError("BurstMaster: address window smaller than one burst");
   }
-  if (cfg_.max_idle_cycles < cfg_.min_idle_cycles || cfg_.min_idle_cycles == 0) {
+  if (cfg.max_idle_cycles < cfg.min_idle_cycles || cfg.min_idle_cycles == 0) {
     throw SimError("BurstMaster: bad idle-cycle bounds");
   }
-  if (is_wrapping(cfg_.burst) && cfg_.addr_base % (beats_ * 4) != 0) {
+  if (is_wrapping(cfg.burst) && cfg.addr_base % (beats_of(cfg) * 4) != 0) {
     throw SimError("BurstMaster: addr_base must be wrap-block aligned");
   }
+  return bus;
 }
+
+}  // namespace
+
+BurstMaster::BurstMaster(sim::Module* parent, std::string name, AhbBus& bus,
+                         Config cfg)
+    : AhbMaster(parent, std::move(name), checked(cfg, bus)),
+      cfg_(cfg),
+      rng_(cfg.seed),
+      beats_(beats_of(cfg)),
+      thread_(this, "proc", [this] { return body(); }) {}
 
 void BurstMaster::count(const Completion& c) {
   if (c.resp != Resp::kOkay) ++stats_.error_responses;

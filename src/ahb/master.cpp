@@ -59,20 +59,28 @@ std::optional<AhbMaster::Completion> AhbMaster::settle() {
 // ---------------------------------------------------------------------------
 // TrafficMaster
 
-TrafficMaster::TrafficMaster(sim::Module* parent, std::string name, AhbBus& bus,
-                             Config cfg)
-    : AhbMaster(parent, std::move(name), bus),
-      cfg_(cfg),
-      rng_(cfg.seed),
-      thread_(this, "proc", [this] { return body(); }) {
-  if (cfg_.max_idle_cycles < cfg_.min_idle_cycles || cfg_.min_idle_cycles == 0) {
+namespace {
+
+/// Throws on a bad config; returns `bus`, so a rejected master never attaches.
+AhbBus& checked(const TrafficMaster::Config& cfg, AhbBus& bus) {
+  if (cfg.max_idle_cycles < cfg.min_idle_cycles || cfg.min_idle_cycles == 0) {
     throw SimError("TrafficMaster: bad idle-cycle bounds");
   }
-  if (cfg_.max_pairs < cfg_.min_pairs || cfg_.min_pairs == 0) {
+  if (cfg.max_pairs < cfg.min_pairs || cfg.min_pairs == 0) {
     throw SimError("TrafficMaster: bad pair bounds");
   }
-  if (cfg_.addr_range < 4) throw SimError("TrafficMaster: address window too small");
+  if (cfg.addr_range < 4) throw SimError("TrafficMaster: address window too small");
+  return bus;
 }
+
+}  // namespace
+
+TrafficMaster::TrafficMaster(sim::Module* parent, std::string name, AhbBus& bus,
+                             Config cfg)
+    : AhbMaster(parent, std::move(name), checked(cfg, bus)),
+      cfg_(cfg),
+      rng_(cfg.seed),
+      thread_(this, "proc", [this] { return body(); }) {}
 
 void TrafficMaster::count(const Completion& c) {
   if (c.resp != Resp::kOkay) ++stats_.error_responses;

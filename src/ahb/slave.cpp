@@ -25,6 +25,14 @@ void tick_resumes(std::vector<std::pair<unsigned, unsigned>>& pending,
   }
 }
 
+/// Throws on a bad config; returns `bus`, so a rejected slave never attaches.
+AhbBus& checked(const MemorySlave::Config& cfg, AhbBus& bus) {
+  if (cfg.size == 0 || cfg.size % 4 != 0) {
+    throw SimError("MemorySlave: size must be a positive multiple of 4");
+  }
+  return bus;
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -47,13 +55,10 @@ sim::Clock& AhbSlave::clock() const { return bus_.clock(); }
 
 MemorySlave::MemorySlave(sim::Module* parent, std::string name, AhbBus& bus,
                          Config cfg)
-    : AhbSlave(parent, std::move(name), bus, cfg.base, cfg.size),
+    : AhbSlave(parent, std::move(name), checked(cfg, bus), cfg.base, cfg.size),
       cfg_(cfg),
       mem_(cfg.size / 4),
       proc_(this, "clocked", [this] { on_clock(); }) {
-  if (cfg_.size == 0 || cfg_.size % 4 != 0) {
-    throw SimError("MemorySlave: size must be a positive multiple of 4");
-  }
   proc_.sensitive(clock().posedge_event()).dont_initialize();
 }
 

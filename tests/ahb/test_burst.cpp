@@ -79,6 +79,22 @@ TEST(BurstMaster, RejectsBadConfigs) {
                SimError);
 }
 
+TEST(BurstMaster, RejectedConfigNeverAttaches) {
+  Bench b;
+  DefaultMaster dm(&b.top, "dm", b.bus);
+  EXPECT_THROW(BurstMaster(&b.top, "bad", b.bus, {.burst = Burst::kSingle}),
+               SimError);
+  BurstMaster m(&b.top, "m", b.bus, {});  // the same default window
+  MemorySlave mem(&b.top, "mem", b.bus, {});
+  b.bus.finalize();
+  EXPECT_EQ(b.bus.n_masters(), 2u);
+  BusMonitor mon(&b.top, "mon", b.bus, BusMonitor::Config{.fatal = false});
+  b.run_cycles(100);
+  EXPECT_GT(m.stats().write_beats, 0u);
+  EXPECT_EQ(m.stats().read_mismatches, 0u);
+  EXPECT_TRUE(mon.violations().empty());
+}
+
 struct BurstBench : Bench {
   BurstBench(Burst burst, unsigned busy_percent, unsigned wait_states)
       : dm(&top, "dm", bus),

@@ -33,12 +33,25 @@ Op read_op(std::uint32_t addr) { return Op{Op::Kind::kRead, addr, 0, 0}; }
 TEST(MemorySlave, RejectsBadConfigs) {
   Bench b;
   EXPECT_THROW(MemorySlave(&b.top, "m1", b.bus, {.size = 6}), SimError);
-  // A SPLIT cadence with the default resume delay is accepted.  (A fresh
-  // address range: the throwing constructor above already claimed the
-  // default one in the decoder before its config check fired.)
+  // A SPLIT cadence with the default resume delay is accepted, on the
+  // default range the rejected slave never claimed.
   EXPECT_NO_THROW(MemorySlave(&b.top, "m2", b.bus,
-                              {.base = 0x4000,
-                               .fault_hook = fail_every(3, Resp::kSplit)}));
+                              {.fault_hook = fail_every(3, Resp::kSplit)}));
+}
+
+TEST(MemorySlave, RejectedConfigNeverAttaches) {
+  Bench b;
+  DefaultMaster dm(&b.top, "dm", b.bus);
+  TrafficMaster m(&b.top, "m", b.bus, {.addr_range = 0x400, .seed = 7});
+  EXPECT_THROW(MemorySlave(&b.top, "bad", b.bus, {.size = 6}), SimError);
+  MemorySlave s(&b.top, "s", b.bus, {});  // the same default range
+  b.bus.finalize();
+  EXPECT_EQ(b.bus.n_slaves(), 2u);  // s and the default slave
+  BusMonitor mon(&b.top, "mon", b.bus, BusMonitor::Config{.fatal = false});
+  b.run_cycles(100);
+  EXPECT_GT(s.stats().writes, 0u);
+  EXPECT_EQ(m.stats().read_mismatches, 0u);
+  EXPECT_TRUE(mon.violations().empty());
 }
 
 TEST(FaultySlave, RetryResponseReachesMaster) {

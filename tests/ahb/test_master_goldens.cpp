@@ -13,6 +13,7 @@
 
 #include "ahb/ahb.hpp"
 #include "bits_digest.hpp"
+#include "campaign/testbench.hpp"
 #include "cpu/cpu.hpp"
 #include "power/power.hpp"
 #include "testbench.hpp"
@@ -141,19 +142,13 @@ struct Observers {
 };
 
 TEST(MasterGolden, PaperRig) {
-  Bench b;
-  DefaultMaster dm(&b.top, "dm", b.bus);
-  TrafficMaster m1(&b.top, "m1", b.bus,
-                   {.addr_base = 0x0000, .addr_range = 0x1000, .seed = 11});
-  TrafficMaster m2(&b.top, "m2", b.bus,
-                   {.addr_base = 0x1000, .addr_range = 0x1000, .seed = 22});
-  MemorySlave s1(&b.top, "s1", b.bus, {.base = 0x0000, .size = 0x1000});
-  MemorySlave s2(&b.top, "s2", b.bus, {.base = 0x1000, .size = 0x1000});
-  MemorySlave s3(&b.top, "s3", b.bus, {.base = 0x2000, .size = 0x1000});
-  b.bus.finalize();
-  Observers o(b, {&dm, &m1, &m2});
+  campaign::PaperTestbench b(
+      {.master_seeds = {11, 22}, .monitor = BusMonitor::Config{.fatal = false}});
+  TrafficMaster& m1 = *b.masters[0];
+  TrafficMaster& m2 = *b.masters[1];
+  WaveDigest wave(b.bus, {&b.dm, &m1, &m2});
   b.run_cycles(2000);
-  EXPECT_EQ(golden(b.kernel, o.wave, {stats(m1), stats(m2)}, o.mon, o.est),
+  EXPECT_EQ(golden(b.kernel, wave, {stats(m1), stats(m2)}, *b.monitor, *b.est),
             "wave 1c474d20e72abd9c | "
             "traffic w471 r471 mm0 err0 seq31 thr0 | "
             "traffic w465 r464 mm0 err0 seq30 thr0 | "
@@ -163,23 +158,19 @@ TEST(MasterGolden, PaperRig) {
 }
 
 TEST(MasterGolden, GovernorThrottledRig) {
-  Bench b;
-  DefaultMaster dm(&b.top, "dm", b.bus);
-  TrafficMaster m1(&b.top, "m1", b.bus,
-                   {.addr_base = 0x0000, .addr_range = 0x1000, .seed = 31});
-  TrafficMaster m2(&b.top, "m2", b.bus,
-                   {.addr_base = 0x1000, .addr_range = 0x1000, .seed = 32});
-  MemorySlave s1(&b.top, "s1", b.bus, {.base = 0x0000, .size = 0x1000});
-  MemorySlave s2(&b.top, "s2", b.bus, {.base = 0x1000, .size = 0x1000});
-  b.bus.finalize();
-  Observers o(b, {&dm, &m1, &m2});
-  power::PowerGovernor gov(&b.top, "gov", o.est,
+  campaign::PaperTestbench b({.master_seeds = {31, 32},
+                              .slaves = 2,
+                              .monitor = BusMonitor::Config{.fatal = false}});
+  TrafficMaster& m1 = *b.masters[0];
+  TrafficMaster& m2 = *b.masters[1];
+  WaveDigest wave(b.bus, {&b.dm, &m1, &m2});
+  power::PowerGovernor gov(&b.top, "gov", *b.est,
                            {.budget_watts = 0.2e-3, .window_cycles = 32});
   m1.set_throttle(&gov.throttle());
   m2.set_throttle(&gov.throttle());
   b.run_cycles(3000);
   EXPECT_GT(m1.stats().throttled_cycles, 0u);
-  EXPECT_EQ(golden(b.kernel, o.wave, {stats(m1), stats(m2)}, o.mon, o.est),
+  EXPECT_EQ(golden(b.kernel, wave, {stats(m1), stats(m2)}, *b.monitor, *b.est),
             "wave f6d29956e6e0a28b | "
             "traffic w505 r505 mm0 err0 seq37 thr1414 | "
             "traffic w386 r386 mm0 err0 seq28 thr1236 | "

@@ -6,40 +6,45 @@
 #include <gtest/gtest.h>
 
 #include "ahb/ahb.hpp"
+#include "campaign/testbench.hpp"
 #include "testbench.hpp"
 
 namespace ahbp::ahb {
 namespace {
 
-using test::Bench;
-
-/// The paper's testbench: 2 traffic masters, 1 default master, 3 slaves.
-struct PaperBench : Bench {
+/// The paper's testbench (campaign::PaperTestbench, seeds 101/202)
+/// under a non-fatal protocol monitor, with a handle per part.
+struct PaperBench : campaign::PaperTestbench {
   explicit PaperBench(unsigned wait_states = 0,
-                      AhbBus::Config cfg = AhbBus::Config{})
-      : Bench(cfg),
-        dm(&top, "default_master", bus),
-        m1(&top, "m1", bus,
-           {.addr_base = 0x0000, .addr_range = 0x1000, .seed = 101}),
-        m2(&top, "m2", bus,
-           {.addr_base = 0x1000, .addr_range = 0x1000, .seed = 202}),
-        s1(&top, "s1", bus,
-           {.base = 0x0000, .size = 0x1000, .wait_states = wait_states}),
-        s2(&top, "s2", bus,
-           {.base = 0x1000, .size = 0x1000, .wait_states = wait_states}),
-        s3(&top, "s3", bus,
-           {.base = 0x2000, .size = 0x1000, .wait_states = wait_states}),
-        mon_cfg{.fatal = false},
-        mon(&top, "mon", bus, mon_cfg) {
-    bus.finalize();
-  }
+                      ArbitrationPolicy policy = ArbitrationPolicy::kFixedPriority)
+      : PaperTestbench({.policy = policy,
+                        .wait_states = wait_states,
+                        .monitor = BusMonitor::Config{.fatal = false},
+                        .power = std::nullopt}) {}
 
-  DefaultMaster dm;
-  TrafficMaster m1, m2;
-  MemorySlave s1, s2, s3;
-  BusMonitor::Config mon_cfg;
-  BusMonitor mon;
+  TrafficMaster& m1 = *masters[0];
+  TrafficMaster& m2 = *masters[1];
+  MemorySlave& s1 = *slaves[0];
+  MemorySlave& s2 = *slaves[1];
+  MemorySlave& s3 = *slaves[2];
+  BusMonitor& mon = *monitor;
 };
+
+TEST(TrafficMaster, RejectedConfigNeverAttaches) {
+  test::Bench b;
+  DefaultMaster dm(&b.top, "dm", b.bus);
+  EXPECT_THROW(TrafficMaster(&b.top, "bad", b.bus, {.min_idle_cycles = 0}),
+               sim::SimError);
+  TrafficMaster m(&b.top, "m", b.bus, {});  // the same default window
+  MemorySlave mem(&b.top, "mem", b.bus, {});
+  b.bus.finalize();
+  EXPECT_EQ(b.bus.n_masters(), 2u);
+  BusMonitor mon(&b.top, "mon", b.bus, BusMonitor::Config{.fatal = false});
+  b.run_cycles(100);
+  EXPECT_GT(m.stats().writes, 0u);
+  EXPECT_EQ(m.stats().read_mismatches, 0u);
+  EXPECT_TRUE(mon.violations().empty());
+}
 
 TEST(Traffic, PaperTestbenchRunsCleanFor5000Cycles) {
   PaperBench b;
@@ -112,7 +117,7 @@ TEST_P(TrafficWaitSweep, CleanUnderWaitStates) {
 INSTANTIATE_TEST_SUITE_P(Waits, TrafficWaitSweep, ::testing::Values(0u, 1u, 3u));
 
 TEST(Traffic, RoundRobinPolicyAlsoClean) {
-  PaperBench b(0, AhbBus::Config{.policy = ArbitrationPolicy::kRoundRobin});
+  PaperBench b(0, ArbitrationPolicy::kRoundRobin);
   b.run_cycles(3000);
   EXPECT_TRUE(b.mon.violations().empty());
   EXPECT_EQ(b.m1.stats().read_mismatches, 0u);

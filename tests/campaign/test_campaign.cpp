@@ -12,45 +12,19 @@
 #include <string>
 #include <vector>
 
-#include "ahb/ahb.hpp"
-#include "power/power.hpp"
+#include "campaign/testbench.hpp"
 #include "sim/sim.hpp"
 
 namespace ahbp::campaign {
 namespace {
 
-/// A complete small AHB simulation as a spec: one traffic master, two
-/// slaves, a power estimator; the whole system lives and dies on the
-/// executing thread. Seeded, so identical per rerun.
+/// A complete small AHB simulation as a spec: the paper testbench with
+/// one traffic master and two slaves; the whole system lives and dies
+/// on the executing thread. Seeded, so identical per rerun.
 RunSpec ahb_spec(std::uint64_t seed, unsigned wait_states) {
-  return {"ahb/s" + std::to_string(seed), [seed, wait_states] {
-            sim::Kernel kernel;
-            sim::Module top(nullptr, "top");
-            sim::Clock clk(&top, "clk", sim::SimTime::ns(10), 0.5,
-                           sim::SimTime::ns(10));
-            ahb::AhbBus bus(&top, "ahb", clk, {});
-            ahb::DefaultMaster dm(&top, "dm", bus);
-            ahb::TrafficMaster m1(
-                &top, "m1", bus,
-                {.addr_base = 0x0000, .addr_range = 0x2000, .seed = seed});
-            ahb::MemorySlave s1(&top, "s1", bus,
-                                {.base = 0x0000,
-                                 .size = 0x1000,
-                                 .wait_states = wait_states});
-            ahb::MemorySlave s2(&top, "s2", bus,
-                                {.base = 0x1000,
-                                 .size = 0x1000,
-                                 .wait_states = wait_states});
-            bus.finalize();
-            power::AhbPowerEstimator est(&top, "power", bus);
-            kernel.run(sim::SimTime::us(5));
-
-            PowerReport r;
-            r.total_energy = est.total_energy();
-            r.blocks = est.block_totals();
-            r.cycles = est.fsm().cycles();
-            return r;
-          }};
+  return PaperTestbench::spec(
+      "ahb/s" + std::to_string(seed),
+      {.wait_states = wait_states, .master_seeds = {seed}, .slaves = 2}, 500);
 }
 
 std::vector<RunSpec> sample_specs() {

@@ -11,6 +11,7 @@
 
 #include "ahb/ahb.hpp"
 #include "campaign/campaign.hpp"
+#include "campaign/testbench.hpp"
 #include "fault/injector.hpp"
 #include "power/power.hpp"
 #include "sim/sim.hpp"
@@ -143,48 +144,27 @@ TEST(FaultInjector, StatsAndMetricsCountVerdicts) {
             s.jitter_cycles);
 }
 
-/// A complete faulted AHB simulation as a campaign spec: traffic master,
-/// two fault-injected slaves, power estimator. Everything is seeded, so
-/// the run is a pure function of (seed, fault_seed).
+/// A complete faulted AHB simulation as a campaign spec: the paper
+/// testbench with one traffic master on two fault-injected slaves.
+/// Everything is seeded, so the run is a pure function of (seed,
+/// fault_seed).
 campaign::RunSpec faulted_spec(std::uint64_t seed, std::uint64_t fault_seed) {
   return {"faulted/s" + std::to_string(seed), [seed, fault_seed] {
-            sim::Kernel kernel;
-            sim::Module top(nullptr, "top");
-            sim::Clock clk(&top, "clk", sim::SimTime::ns(10), 0.5,
-                           sim::SimTime::ns(10));
-            ahb::AhbBus bus(&top, "ahb", clk, {});
-            ahb::DefaultMaster dm(&top, "dm", bus);
-            ahb::TrafficMaster m1(
-                &top, "m1", bus,
-                {.addr_base = 0x0000, .addr_range = 0x2000, .seed = seed});
-            FaultInjector injector(FaultPlan::uniform(
-                fault_seed,
-                {.retry_rate = 0.05, .error_rate = 0.01, .jitter_rate = 0.1},
-                2));
-            ahb::MemorySlave s1(&top, "s1", bus,
-                                {.base = 0x0000,
-                                 .size = 0x1000,
-                                 .fault_hook = injector.hook(0)});
-            ahb::MemorySlave s2(&top, "s2", bus,
-                                {.base = 0x1000,
-                                 .size = 0x1000,
-                                 .fault_hook = injector.hook(1)});
-            bus.finalize();
-            power::AhbPowerEstimator est(&top, "power", bus);
-            kernel.run(sim::SimTime::us(5));
-
-            campaign::PowerReport r;
-            r.total_energy = est.total_energy();
-            r.blocks = est.block_totals();
-            r.cycles = est.fsm().cycles();
+            campaign::PaperTestbench tb(
+                {.master_seeds = {seed},
+                 .slaves = 2,
+                 .faults = FaultPlan::uniform(
+                     fault_seed,
+                     {.retry_rate = 0.05, .error_rate = 0.01, .jitter_rate = 0.1},
+                     2)});
+            tb.run(sim::SimTime::us(5));
+            campaign::PowerReport r = tb.report();
             // The fault schedule itself, exported for the bit-identity
             // check across thread counts.
-            r.metrics["fault_retries"] =
-                static_cast<double>(injector.stats().retries);
-            r.metrics["fault_errors"] =
-                static_cast<double>(injector.stats().errors);
-            r.metrics["fault_jitter_cycles"] =
-                static_cast<double>(injector.stats().jitter_cycles);
+            const FaultInjector::Stats& s = tb.injector->stats();
+            r.metrics["fault_retries"] = static_cast<double>(s.retries);
+            r.metrics["fault_errors"] = static_cast<double>(s.errors);
+            r.metrics["fault_jitter_cycles"] = static_cast<double>(s.jitter_cycles);
             return r;
           }};
 }

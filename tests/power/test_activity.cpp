@@ -10,7 +10,7 @@
 #include <random>
 #include <vector>
 
-#include "ahb/ahb.hpp"
+#include "campaign/testbench.hpp"
 #include "power/analytic.hpp"
 #include "power/estimator.hpp"
 #include "power/report.hpp"
@@ -208,26 +208,12 @@ struct PaperRun {
 
 /// The paper's Sec. 5 system (two traffic masters, three slaves, the
 /// default master) at 100 MHz, observed for `n_cycles` bus cycles.
-PaperRun run_paper_testbench(std::int64_t n_cycles) {
-  sim::Kernel k;
-  sim::Module top(nullptr, "top");
-  sim::Clock clk(&top, "clk", sim::SimTime::ns(10), 0.5, sim::SimTime::ns(10));
-  ahb::AhbBus bus(&top, "ahb", clk);
-  ahb::DefaultMaster dm(&top, "default_master", bus);
-  ahb::TrafficMaster m1(&top, "m1", bus,
-                        {.addr_base = 0x0000, .addr_range = 0x1000, .seed = 101});
-  ahb::TrafficMaster m2(&top, "m2", bus,
-                        {.addr_base = 0x1000, .addr_range = 0x1000, .seed = 202});
-  ahb::MemorySlave s1(&top, "s1", bus, {.base = 0x0000, .size = 0x1000});
-  ahb::MemorySlave s2(&top, "s2", bus, {.base = 0x1000, .size = 0x1000});
-  ahb::MemorySlave s3(&top, "s3", bus, {.base = 0x2000, .size = 0x1000});
-  bus.finalize();
-  AhbPowerEstimator est(&top, "power", bus);
-  ahb::BusMonitor mon(&top, "mon", bus);
-  k.run(sim::SimTime::ns(10) * n_cycles);
-  const std::uint64_t cycles = est.fsm().cycles();
-  return PaperRun{est.fsm().activity(), cycles,
-                  static_cast<double>(mon.stats().handovers) /
+PaperRun run_paper_testbench(std::uint64_t n_cycles) {
+  campaign::PaperTestbench tb({.monitor = ahb::BusMonitor::Config{}});
+  tb.run_cycles(n_cycles);
+  const std::uint64_t cycles = tb.est->fsm().cycles();
+  return PaperRun{tb.est->fsm().activity(), cycles,
+                  static_cast<double>(tb.monitor->stats().handovers) /
                       static_cast<double>(cycles)};
 }
 

@@ -5,7 +5,7 @@
 
 #include <gtest/gtest.h>
 
-#include "ahb/ahb.hpp"
+#include "campaign/testbench.hpp"
 #include "power/power.hpp"
 #include "sim/sim.hpp"
 
@@ -40,21 +40,11 @@ TEST(Analytic, ReproducesSimulatedEnergyFromMeasuredStats) {
   // Run the paper testbench; feed the measured per-cycle statistics back
   // through the closed form: it must land on the simulated total
   // (the models are linear; only empirical indicator terms intervene).
-  sim::Kernel k;
-  sim::Module top(nullptr, "top");
-  sim::Clock clk(&top, "clk", sim::SimTime::ns(10), 0.5, sim::SimTime::ns(10));
-  ahb::AhbBus bus(&top, "ahb", clk);
-  ahb::DefaultMaster dm(&top, "dm", bus);
-  ahb::TrafficMaster m1(&top, "m1", bus,
-                        {.addr_base = 0x0000, .addr_range = 0x1000, .seed = 51});
-  ahb::TrafficMaster m2(&top, "m2", bus,
-                        {.addr_base = 0x1000, .addr_range = 0x1000, .seed = 52});
-  ahb::MemorySlave s1(&top, "s1", bus, {.base = 0x0000, .size = 0x1000});
-  ahb::MemorySlave s2(&top, "s2", bus, {.base = 0x1000, .size = 0x1000});
-  bus.finalize();
-  AhbPowerEstimator est(&top, "power", bus);
-  ahb::BusMonitor mon(&top, "mon", bus);
-  k.run(sim::SimTime::us(50));
+  campaign::PaperTestbench tb(
+      {.master_seeds = {51, 52}, .slaves = 2, .monitor = ahb::BusMonitor::Config{}});
+  tb.run(sim::SimTime::us(50));
+  const AhbPowerEstimator& est = *tb.est;
+  const ahb::BusMonitor& mon = *tb.monitor;
 
   const std::uint64_t cycles = est.fsm().cycles();
   const double p_handover = static_cast<double>(mon.stats().handovers) /
@@ -87,21 +77,9 @@ TEST(Analytic, APrioriAssumptionLandsInTheRightBand) {
   // Measure the real thing.
   double measured_power = 0.0;
   {
-    sim::Kernel k;
-    sim::Module top(nullptr, "top");
-    sim::Clock clk(&top, "clk", sim::SimTime::ns(10), 0.5, sim::SimTime::ns(10));
-    ahb::AhbBus bus(&top, "ahb", clk);
-    ahb::DefaultMaster dm(&top, "dm", bus);
-    ahb::TrafficMaster m1(&top, "m1", bus,
-                          {.addr_base = 0x0000, .addr_range = 0x1000, .seed = 61});
-    ahb::TrafficMaster m2(&top, "m2", bus,
-                          {.addr_base = 0x1000, .addr_range = 0x1000, .seed = 62});
-    ahb::MemorySlave s1(&top, "s1", bus, {.base = 0x0000, .size = 0x1000});
-    ahb::MemorySlave s2(&top, "s2", bus, {.base = 0x1000, .size = 0x1000});
-    bus.finalize();
-    AhbPowerEstimator est(&top, "power", bus);
-    k.run(sim::SimTime::us(50));
-    measured_power = est.total_energy() / k.now().to_seconds();
+    campaign::PaperTestbench tb({.master_seeds = {61, 62}, .slaves = 2});
+    tb.run(sim::SimTime::us(50));
+    measured_power = tb.est->total_energy() / tb.kernel.now().to_seconds();
   }
 
   // "Early, cheap indication": same order of magnitude.

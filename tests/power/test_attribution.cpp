@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "ahb/ahb.hpp"
+#include "campaign/testbench.hpp"
 #include "charlib/charlib.hpp"
 #include "power/power.hpp"
 #include "sim/sim.hpp"
@@ -18,20 +19,9 @@ using ahb::MemorySlave;
 using ahb::TrafficMaster;
 
 TEST(Attribution, EnergySplitsAcrossMasters) {
-  sim::Kernel k;
-  sim::Module top(nullptr, "top");
-  sim::Clock clk(&top, "clk", sim::SimTime::ns(10), 0.5, sim::SimTime::ns(10));
-  AhbBus bus(&top, "ahb", clk);
-  DefaultMaster dm(&top, "dm", bus);
-  TrafficMaster m1(&top, "m1", bus,
-                   {.addr_base = 0x0000, .addr_range = 0x1000, .seed = 71});
-  TrafficMaster m2(&top, "m2", bus,
-                   {.addr_base = 0x1000, .addr_range = 0x1000, .seed = 72});
-  MemorySlave s1(&top, "s1", bus, {.base = 0x0000, .size = 0x1000});
-  MemorySlave s2(&top, "s2", bus, {.base = 0x1000, .size = 0x1000});
-  bus.finalize();
-  AhbPowerEstimator est(&top, "power", bus);
-  k.run(sim::SimTime::us(30));
+  campaign::PaperTestbench tb({.master_seeds = {71, 72}, .slaves = 2});
+  tb.run(sim::SimTime::us(30));
+  const AhbPowerEstimator& est = *tb.est;
 
   const auto& per = est.fsm().per_master_energy();
   ASSERT_EQ(per.size(), 3u);

@@ -6,6 +6,7 @@
 
 #include "ahb/ahb.hpp"
 #include "bits_digest.hpp"
+#include "campaign/testbench.hpp"
 #include "power/power.hpp"
 #include "sim/sim.hpp"
 
@@ -15,33 +16,14 @@ namespace {
 using ahb::AhbBus;
 using ahb::DefaultMaster;
 using ahb::MemorySlave;
-using ahb::TrafficMaster;
 
-struct CosimBench {
+/// The paper's testbench on two slaves (seeds 21/22) under the
+/// gate-level cross-check instead of the estimator.
+struct CosimBench : campaign::PaperTestbench {
   CosimBench()
-      : top(nullptr, "top"),
-        clk(&top, "clk", sim::SimTime::ns(10), 0.5, sim::SimTime::ns(10)),
-        bus(&top, "ahb", clk),
-        dm(&top, "dm", bus),
-        m1(&top, "m1", bus, {.addr_base = 0x0000, .addr_range = 0x1000, .seed = 21}),
-        m2(&top, "m2", bus, {.addr_base = 0x1000, .addr_range = 0x1000, .seed = 22}),
-        s1(&top, "s1", bus, {.base = 0x0000, .size = 0x1000}),
-        s2(&top, "s2", bus, {.base = 0x1000, .size = 0x1000}) {
-    bus.finalize();
-    check = std::make_unique<GateLevelCrossCheck>(&top, "cosim", bus);
-  }
+      : PaperTestbench({.master_seeds = {21, 22}, .slaves = 2, .power = std::nullopt}),
+        check(std::make_unique<GateLevelCrossCheck>(&top, "cosim", bus)) {}
 
-  void run_cycles(unsigned n) {
-    kernel.run(sim::SimTime::ns(10) * static_cast<std::int64_t>(n));
-  }
-
-  sim::Kernel kernel;
-  sim::Module top;
-  sim::Clock clk;
-  AhbBus bus;
-  DefaultMaster dm;
-  TrafficMaster m1, m2;
-  MemorySlave s1, s2;
   std::unique_ptr<GateLevelCrossCheck> check;
 };
 

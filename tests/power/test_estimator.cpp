@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "ahb/ahb.hpp"
+#include "campaign/testbench.hpp"
 #include "power/power.hpp"
 #include "sim/sim.hpp"
 
@@ -18,35 +19,12 @@ using ahb::DefaultMaster;
 using ahb::MemorySlave;
 using ahb::TrafficMaster;
 
-/// The paper's testbench plus a power estimator.
-struct PowerBench {
-  explicit PowerBench(AhbPowerEstimator::Config cfg = AhbPowerEstimator::Config{})
-      : top(nullptr, "top"),
-        clk(&top, "clk", sim::SimTime::ns(10), 0.5, sim::SimTime::ns(10)),
-        bus(&top, "ahb", clk),
-        dm(&top, "dm", bus),
-        m1(&top, "m1", bus, {.addr_base = 0x0000, .addr_range = 0x1000, .seed = 11}),
-        m2(&top, "m2", bus, {.addr_base = 0x1000, .addr_range = 0x1000, .seed = 22}),
-        s1(&top, "s1", bus, {.base = 0x0000, .size = 0x1000}),
-        s2(&top, "s2", bus, {.base = 0x1000, .size = 0x1000}),
-        s3(&top, "s3", bus, {.base = 0x2000, .size = 0x1000}) {
-    bus.finalize();
-    est = std::make_unique<AhbPowerEstimator>(&top, "power", bus, cfg);
-  }
+using campaign::PaperTestbench;
 
-  void run_cycles(unsigned n) {
-    kernel.run(sim::SimTime::ns(10) * static_cast<std::int64_t>(n));
-  }
-
-  sim::Kernel kernel;
-  sim::Module top;
-  sim::Clock clk;
-  AhbBus bus;
-  DefaultMaster dm;
-  TrafficMaster m1, m2;
-  MemorySlave s1, s2, s3;
-  std::unique_ptr<AhbPowerEstimator> est;
-};
+/// The paper's testbench (seeds 11/22) with the given estimator Config.
+PaperTestbench::Config rig(AhbPowerEstimator::Config est = {}) {
+  return {.master_seeds = {11, 22}, .power = est};
+}
 
 TEST(Estimator, RequiresFinalizedBus) {
   sim::Kernel k;
@@ -57,7 +35,7 @@ TEST(Estimator, RequiresFinalizedBus) {
 }
 
 TEST(Estimator, AccumulatesEnergyOverRun) {
-  PowerBench b;
+  PaperTestbench b(rig());
   b.run_cycles(1000);
   EXPECT_GT(b.est->total_energy(), 0.0);
   // The clock's first falling edge is at 15 ns, so a 10 us run samples
@@ -69,7 +47,7 @@ TEST(Estimator, PaperShapeDataPathDominatesArbitration) {
   // The paper's headline: ~87% of the energy in data-transfer
   // instructions with no handover, ~13% in arbitration. We require the
   // same ordering with generous margins.
-  PowerBench b;
+  PaperTestbench b(rig());
   b.run_cycles(5000);
   const double data = data_transfer_share(b.est->fsm());
   const double arb = arbitration_share(b.est->fsm());
@@ -80,7 +58,7 @@ TEST(Estimator, PaperShapeDataPathDominatesArbitration) {
 }
 
 TEST(Estimator, PaperShapeM2sDominatesArbiterPower) {
-  PowerBench b;
+  PaperTestbench b(rig());
   b.run_cycles(5000);
   const BlockEnergy& e = b.est->block_totals();
   EXPECT_GT(e.m2s, 10 * e.arb) << format_block_breakdown(e);
@@ -92,7 +70,7 @@ TEST(Estimator, PaperShapeM2sDominatesArbiterPower) {
 }
 
 TEST(Estimator, InstructionAveragesInPaperBand) {
-  PowerBench b;
+  PaperTestbench b(rig());
   b.run_cycles(5000);
   const auto& tab = b.est->fsm().instructions();
   ASSERT_TRUE(tab.count("WRITE_READ"));
@@ -106,7 +84,7 @@ TEST(Estimator, InstructionAveragesInPaperBand) {
 
 TEST(Estimator, PaperInstructionsAppear)
 {
-  PowerBench b;
+  PaperTestbench b(rig());
   b.run_cycles(5000);
   const auto& tab = b.est->fsm().instructions();
   // The five instructions of the paper's Table 1:
@@ -118,7 +96,7 @@ TEST(Estimator, PaperInstructionsAppear)
 }
 
 TEST(Estimator, TraceProducesWindows) {
-  PowerBench b(AhbPowerEstimator::Config{.telemetry_window_cycles = 10});
+  PaperTestbench b(rig({.telemetry_window_cycles = 10}));
   b.run_cycles(1000);  // 10 us
   b.est->flush_telemetry();
   ASSERT_NE(b.est->windows(), nullptr);
@@ -137,7 +115,7 @@ TEST(Estimator, TraceProducesWindows) {
 }
 
 TEST(Estimator, TraceEnergyMatchesTotalEnergy) {
-  PowerBench b(AhbPowerEstimator::Config{.telemetry_window_cycles = 25});
+  PaperTestbench b(rig({.telemetry_window_cycles = 25}));
   b.run_cycles(800);
   b.est->flush_telemetry();
   double trace_total = 0.0;
@@ -146,7 +124,7 @@ TEST(Estimator, TraceEnergyMatchesTotalEnergy) {
 }
 
 TEST(Estimator, NoTraceByDefault) {
-  PowerBench b;
+  PaperTestbench b(rig());
   EXPECT_EQ(b.est->windows(), nullptr);
   b.est->flush_telemetry();  // no-op, no crash
 }
@@ -171,7 +149,7 @@ void expect_identical(const PowerFsm& a, const PowerFsm& b) {
 TEST(Styles, LocalAndGlobalAgreeExactly) {
   // The global analyzer runs the same FSM on the bus's one per-cycle
   // sample, so the two styles must produce identical energy.
-  PowerBench b;
+  PaperTestbench b(rig());
   GlobalPowerAnalyzer analyzer(
       &b.top, "analyzer",
       PowerFsm::Config{.n_masters = b.bus.n_masters(), .n_slaves = b.bus.n_slaves()});
@@ -234,7 +212,7 @@ TEST(Styles, PrivateStyleSameOrderOfMagnitude) {
   // Event-level accounting differs from cycle-level sampling (it sees
   // intra-cycle changes separately) but must land in the same ballpark
   // and preserve the M2S >> ARB ordering.
-  PowerBench b;
+  PaperTestbench b(rig());
   PrivatePowerModel priv(&b.top, "priv", b.bus);
   b.run_cycles(2000);
   EXPECT_GT(priv.total_energy(), 0.0);
@@ -266,15 +244,16 @@ TEST(Estimator, PaperRigKernelActivityPerCycle) {
   // cost no process activation and no timed notification: a clock driven
   // by a process of its own would add one activation at initialization
   // and one per edge (1999 in 1000 cycles), i.e. 2 per cycle.
-  PowerBench b;
-  ahb::BusMonitor mon(&b.top, "monitor", b.bus);
+  PaperTestbench::Config cfg = rig();
+  cfg.monitor = ahb::BusMonitor::Config{};
+  PaperTestbench b(cfg);
   b.run_cycles(1000);
   const sim::Kernel::Stats& st = b.kernel.stats();
   EXPECT_EQ(st.processes_executed, 12525u);
   EXPECT_EQ(st.time_advances, 1999u);
   EXPECT_EQ(st.timed_notifications, 0u);
   EXPECT_EQ(b.kernel.delta_count(), 5491u);
-  EXPECT_TRUE(mon.violations().empty());
+  EXPECT_TRUE(b.monitor->violations().empty());
 }
 
 TEST(CycleStream, ExtraSubscribersAddNoProcessActivations) {
@@ -283,11 +262,11 @@ TEST(CycleStream, ExtraSubscribersAddNoProcessActivations) {
   // none runs a process of its own.
   std::uint64_t alone = 0;
   {
-    PowerBench b;
+    PaperTestbench b(rig());
     b.run_cycles(1000);
     alone = b.kernel.stats().processes_executed;
   }
-  PowerBench b;
+  PaperTestbench b(rig());
   GlobalPowerAnalyzer analyzer(
       &b.top, "analyzer",
       PowerFsm::Config{.n_masters = b.bus.n_masters(), .n_slaves = b.bus.n_slaves()});
@@ -313,7 +292,7 @@ struct CountingSubscriber : ahb::CycleSubscriber {
 };
 
 TEST(CycleStream, DestroyedSubscriberStopsWhileOthersGoOn) {
-  PowerBench b;  // the estimator subscribes first and creates the tap
+  PaperTestbench b(rig());  // the estimator subscribes first and creates the tap
   std::uint64_t first_posts = 0;
   std::uint64_t second_posts = 0;
   auto first = std::make_unique<CountingSubscriber>(first_posts);

@@ -5,63 +5,32 @@
 
 #include <gtest/gtest.h>
 
-#include "ahb/ahb.hpp"
+#include "campaign/testbench.hpp"
 #include "power/power.hpp"
 #include "sim/sim.hpp"
 
 namespace ahbp::power {
 namespace {
 
-using ahb::AhbBus;
-using ahb::DefaultMaster;
-using ahb::MemorySlave;
 using ahb::TrafficMaster;
 
-struct GovernorBench {
+/// The paper's testbench on two slaves (seeds 31/32) with a governor.
+struct GovernorBench : campaign::PaperTestbench {
   /// budget <= 0 disables throttling (masters get no throttle signal).
   explicit GovernorBench(double budget_watts)
-      : top(nullptr, "top"),
-        clk(&top, "clk", sim::SimTime::ns(10), 0.5, sim::SimTime::ns(10)),
-        bus(&top, "ahb", clk),
-        dm(&top, "dm", bus) {
-    m1 = std::make_unique<TrafficMaster>(
-        &top, "m1", bus,
-        TrafficMaster::Config{.addr_base = 0x0000, .addr_range = 0x1000, .seed = 31});
-    m2 = std::make_unique<TrafficMaster>(
-        &top, "m2", bus,
-        TrafficMaster::Config{.addr_base = 0x1000, .addr_range = 0x1000, .seed = 32});
-    bus_slaves();
-    bus.finalize();
-    est = std::make_unique<AhbPowerEstimator>(&top, "power", bus);
+      : PaperTestbench({.master_seeds = {31, 32}, .slaves = 2}) {
     if (budget_watts > 0) {
       gov = std::make_unique<PowerGovernor>(
           &top, "gov", *est,
           PowerGovernor::Config{.budget_watts = budget_watts, .window_cycles = 32});
-      m1->set_throttle(&gov->throttle());
-      m2->set_throttle(&gov->throttle());
+      m1.set_throttle(&gov->throttle());
+      m2.set_throttle(&gov->throttle());
     }
   }
 
-  void bus_slaves() {
-    s1 = std::make_unique<MemorySlave>(
-        &top, "s1", bus, MemorySlave::Config{.base = 0x0000, .size = 0x1000});
-    s2 = std::make_unique<MemorySlave>(
-        &top, "s2", bus, MemorySlave::Config{.base = 0x1000, .size = 0x1000});
-  }
-
-  void run_cycles(unsigned n) {
-    kernel.run(sim::SimTime::ns(10) * static_cast<std::int64_t>(n));
-  }
-
-  sim::Kernel kernel;
-  sim::Module top;
-  sim::Clock clk;
-  AhbBus bus;
-  DefaultMaster dm;
-  std::unique_ptr<MemorySlave> s1, s2;
-  std::unique_ptr<AhbPowerEstimator> est;
+  TrafficMaster& m1 = *masters[0];
+  TrafficMaster& m2 = *masters[1];
   std::unique_ptr<PowerGovernor> gov;
-  std::unique_ptr<TrafficMaster> m1, m2;
 };
 
 TEST(Governor, RejectsBadConfig) {
@@ -81,7 +50,7 @@ TEST(Governor, GenerousBudgetNeverThrottles) {
   ASSERT_TRUE(b.gov != nullptr);
   EXPECT_EQ(b.gov->stats().over_budget_windows, 0u);
   EXPECT_FALSE(b.gov->throttle().read());
-  EXPECT_EQ(b.m1->stats().throttled_cycles, 0u);
+  EXPECT_EQ(b.m1.stats().throttled_cycles, 0u);
   EXPECT_GT(b.gov->stats().windows, 50u);
 }
 
@@ -90,7 +59,7 @@ TEST(Governor, TightBudgetThrottlesMasters) {
   GovernorBench b(0.2e-3);
   b.run_cycles(5000);
   EXPECT_GT(b.gov->stats().over_budget_windows, 0u);
-  EXPECT_GT(b.m1->stats().throttled_cycles + b.m2->stats().throttled_cycles, 0u);
+  EXPECT_GT(b.m1.stats().throttled_cycles + b.m2.stats().throttled_cycles, 0u);
 }
 
 TEST(Governor, ThrottlingReducesMeanPowerAndThroughput) {
@@ -99,13 +68,13 @@ TEST(Governor, ThrottlingReducesMeanPowerAndThroughput) {
   {
     GovernorBench b(-1.0);  // no governor at all
     b.run_cycles(5000);
-    free_transfers = b.m1->stats().writes + b.m2->stats().writes;
+    free_transfers = b.m1.stats().writes + b.m2.stats().writes;
     free_power = b.est->total_energy() / b.kernel.now().to_seconds();
   }
   {
     GovernorBench b(0.2e-3);
     b.run_cycles(5000);
-    capped_transfers = b.m1->stats().writes + b.m2->stats().writes;
+    capped_transfers = b.m1.stats().writes + b.m2.stats().writes;
     capped_power = b.est->total_energy() / b.kernel.now().to_seconds();
   }
   EXPECT_LT(capped_power, free_power);

@@ -6,7 +6,7 @@
 
 #include <cmath>
 
-#include "ahb/ahb.hpp"
+#include "campaign/testbench.hpp"
 #include "power/power.hpp"
 #include "sim/sim.hpp"
 #include "telemetry/telemetry.hpp"
@@ -14,43 +14,15 @@
 namespace ahbp::power {
 namespace {
 
-using ahb::AhbBus;
-using ahb::DefaultMaster;
-using ahb::MemorySlave;
-using ahb::TrafficMaster;
+using campaign::PaperTestbench;
 
-/// The paper's testbench plus a telemetry-enabled power estimator.
-struct TelemetryBench {
-  explicit TelemetryBench(AhbPowerEstimator::Config cfg)
-      : top(nullptr, "top"),
-        clk(&top, "clk", sim::SimTime::ns(10), 0.5, sim::SimTime::ns(10)),
-        bus(&top, "ahb", clk),
-        dm(&top, "dm", bus),
-        m1(&top, "m1", bus, {.addr_base = 0x0000, .addr_range = 0x1000, .seed = 11}),
-        m2(&top, "m2", bus, {.addr_base = 0x1000, .addr_range = 0x1000, .seed = 22}),
-        s1(&top, "s1", bus, {.base = 0x0000, .size = 0x1000}),
-        s2(&top, "s2", bus, {.base = 0x1000, .size = 0x1000}),
-        s3(&top, "s3", bus, {.base = 0x2000, .size = 0x1000}) {
-    bus.finalize();
-    est = std::make_unique<AhbPowerEstimator>(&top, "power", bus, cfg);
-  }
-
-  void run_cycles(unsigned n) {
-    kernel.run(sim::SimTime::ns(10) * static_cast<std::int64_t>(n));
-  }
-
-  sim::Kernel kernel;
-  sim::Module top;
-  sim::Clock clk;
-  AhbBus bus;
-  DefaultMaster dm;
-  TrafficMaster m1, m2;
-  MemorySlave s1, s2, s3;
-  std::unique_ptr<AhbPowerEstimator> est;
-};
+/// The paper's testbench (seeds 11/22) with the given estimator Config.
+PaperTestbench::Config rig(AhbPowerEstimator::Config est = {}) {
+  return {.master_seeds = {11, 22}, .power = est};
+}
 
 TEST(EstimatorTelemetry, DisabledByDefault) {
-  TelemetryBench b(AhbPowerEstimator::Config{});
+  PaperTestbench b(rig());
   b.run_cycles(100);
   EXPECT_EQ(b.est->windows(), nullptr);
   EXPECT_EQ(b.est->trace_events(), nullptr);
@@ -58,8 +30,7 @@ TEST(EstimatorTelemetry, DisabledByDefault) {
 }
 
 TEST(EstimatorTelemetry, WindowEnergiesSumToTotal) {
-  TelemetryBench b(
-      AhbPowerEstimator::Config{.telemetry_window_cycles = 100});
+  PaperTestbench b(rig({.telemetry_window_cycles = 100}));
   b.run_cycles(2000);
   b.est->flush_telemetry();
 
@@ -77,8 +48,7 @@ TEST(EstimatorTelemetry, WindowEnergiesSumToTotal) {
 }
 
 TEST(EstimatorTelemetry, WindowsTileTheCycleAxis) {
-  TelemetryBench b(
-      AhbPowerEstimator::Config{.telemetry_window_cycles = 64});
+  PaperTestbench b(rig({.telemetry_window_cycles = 64}));
   b.run_cycles(1000);
   b.est->flush_telemetry();
   const auto& windows = b.est->windows()->windows();
@@ -94,8 +64,7 @@ TEST(EstimatorTelemetry, WindowsTileTheCycleAxis) {
 }
 
 TEST(EstimatorTelemetry, TraceEventsTileTheRun) {
-  TelemetryBench b(
-      AhbPowerEstimator::Config{.telemetry_window_cycles = 100});
+  PaperTestbench b(rig({.telemetry_window_cycles = 100}));
   b.run_cycles(500);
   b.est->flush_telemetry();
 
@@ -123,8 +92,7 @@ TEST(EstimatorTelemetry, TraceEventsTileTheRun) {
 }
 
 TEST(EstimatorTelemetry, FlushIsIdempotent) {
-  TelemetryBench b(
-      AhbPowerEstimator::Config{.telemetry_window_cycles = 100});
+  PaperTestbench b(rig({.telemetry_window_cycles = 100}));
   b.run_cycles(300);
   b.est->flush_telemetry();
   const std::size_t n_windows = b.est->windows()->windows().size();
@@ -136,7 +104,7 @@ TEST(EstimatorTelemetry, FlushIsIdempotent) {
 
 TEST(EstimatorTelemetry, LiveMetricsAndPublishedTotals) {
   telemetry::MetricsRegistry metrics;
-  TelemetryBench b(AhbPowerEstimator::Config{.metrics = &metrics});
+  PaperTestbench b(rig({.metrics = &metrics}));
   b.run_cycles(400);
 
   // Hot-path metrics are live during the run.
@@ -170,7 +138,7 @@ TEST(EstimatorTelemetry, LiveMetricsAndPublishedTotals) {
 TEST(EstimatorTelemetry, DisabledRegistryStaysEmptyButRunProceeds) {
   telemetry::MetricsRegistry metrics;
   metrics.set_enabled(false);
-  TelemetryBench b(AhbPowerEstimator::Config{.metrics = &metrics});
+  PaperTestbench b(rig({.metrics = &metrics}));
   b.run_cycles(200);
   b.est->flush_telemetry();
   EXPECT_GT(b.est->total_energy(), 0.0);  // power analysis unaffected
@@ -182,7 +150,7 @@ TEST(EstimatorTelemetry, DisabledRegistryStaysEmptyButRunProceeds) {
 
 TEST(EstimatorTelemetry, PerInstructionMetricsMatchFsm) {
   telemetry::MetricsRegistry metrics;
-  TelemetryBench b(AhbPowerEstimator::Config{.metrics = &metrics});
+  PaperTestbench b(rig({.metrics = &metrics}));
   b.run_cycles(300);
   b.est->flush_telemetry();
 

@@ -7,7 +7,7 @@
 
 #include <gtest/gtest.h>
 
-#include "ahb/ahb.hpp"
+#include "campaign/testbench.hpp"
 
 #include <atomic>
 #include <cstdint>
@@ -105,25 +105,17 @@ TEST(KernelAlloc, GuardedWaitsAllocateNothing) {
 }
 
 TEST(KernelAlloc, BusTransfersAllocateNothing) {
-  // The paper's testbench: two traffic masters run pipelined WRITE-READ
-  // tenures through the master transfer engine into dense slave memory.
-  // After a warm-up that creates the coroutine frames, no transfer, no
-  // first write to a word and no wait allocates.
-  Kernel kernel;
-  Module top(nullptr, "top");
-  Clock clk(&top, "clk", SimTime::ns(10), 0.5, SimTime::ns(10));
-  ahb::AhbBus bus(&top, "ahb", clk);
-  ahb::DefaultMaster dm(&top, "dm", bus);
-  ahb::TrafficMaster m1(&top, "m1", bus, {.addr_base = 0x0000, .addr_range = 0x1000});
-  ahb::TrafficMaster m2(&top, "m2", bus, {.addr_base = 0x1000, .addr_range = 0x1000});
-  ahb::MemorySlave s1(&top, "s1", bus, {.base = 0x0000, .size = 0x1000});
-  ahb::MemorySlave s2(&top, "s2", bus, {.base = 0x1000, .size = 0x1000});
-  bus.finalize();
-  kernel.run(SimTime::ns(10) * 100);  // warm-up
+  // The paper's testbench on two slaves: two traffic masters run
+  // pipelined WRITE-READ tenures through the master transfer engine into
+  // dense slave memory. After a warm-up that creates the coroutine
+  // frames, no transfer, no first write to a word and no wait allocates.
+  campaign::PaperTestbench tb(
+      {.master_seeds = {1, 1}, .slaves = 2, .power = std::nullopt});
+  tb.run_cycles(100);  // warm-up
   const std::uint64_t before = g_allocations.load();
-  kernel.run(SimTime::ns(10) * 10000);
+  tb.run_cycles(10000);
   EXPECT_EQ(g_allocations.load() - before, 0u);
-  EXPECT_GT(m1.stats().reads + m2.stats().reads, 4000u);
+  EXPECT_GT(tb.masters[0]->stats().reads + tb.masters[1]->stats().reads, 4000u);
 }
 
 TEST(KernelAlloc, CounterSeesAllocations) {

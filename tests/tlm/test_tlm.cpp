@@ -14,6 +14,7 @@
 
 #include "ahb/ahb.hpp"
 #include "bits_digest.hpp"
+#include "campaign/testbench.hpp"
 #include "power/power.hpp"
 #include "sim/sim.hpp"
 
@@ -203,21 +204,9 @@ TEST(TlmVsCycleAccurate, EnergyPerCycleAgrees) {
   // --- cycle-accurate ---
   double ca_epc = 0.0;
   {
-    sim::Kernel k;
-    sim::Module top(nullptr, "top");
-    sim::Clock clk(&top, "clk", sim::SimTime::ns(10), 0.5, sim::SimTime::ns(10));
-    ahb::AhbBus bus(&top, "ahb", clk);
-    ahb::DefaultMaster dm(&top, "dm", bus);
-    ahb::TrafficMaster tm1(&top, "m1", bus,
-                           {.addr_base = 0x0000, .addr_range = 0x1000, .seed = 101});
-    ahb::TrafficMaster tm2(&top, "m2", bus,
-                           {.addr_base = 0x1000, .addr_range = 0x1000, .seed = 202});
-    ahb::MemorySlave s1(&top, "s1", bus, {.base = 0x0000, .size = 0x1000});
-    ahb::MemorySlave s2(&top, "s2", bus, {.base = 0x1000, .size = 0x1000});
-    bus.finalize();
-    power::AhbPowerEstimator est(&top, "power", bus);
-    k.run(sim::SimTime::us(50));
-    ca_epc = est.total_energy() / static_cast<double>(est.fsm().cycles());
+    campaign::PaperTestbench tb({.slaves = 2});
+    tb.run(sim::SimTime::us(50));
+    ca_epc = tb.est->total_energy() / static_cast<double>(tb.est->fsm().cycles());
   }
 
   const double ratio = tlm_epc / ca_epc;

@@ -80,6 +80,7 @@
 #include <cstring>
 #include <filesystem>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -92,6 +93,7 @@
 #include "campaign/journal.hpp"
 #include "campaign/progress.hpp"
 #include "campaign/report.hpp"
+#include "campaign/testbench.hpp"
 #include "fault/injector.hpp"
 #include "power/power.hpp"
 #include "sim/sim.hpp"
@@ -103,8 +105,6 @@
 namespace {
 
 using namespace ahbp;
-
-constexpr std::int64_t kClockNs = 10;  // 100 MHz
 
 struct Options {
   std::uint64_t cycles = 5000;
@@ -121,8 +121,7 @@ struct Options {
   bool quiet = false;
   bool sweep = false;
   bool txn_trace = false;
-  bool faults = false;
-  std::uint64_t fault_seed = 1;
+  std::optional<std::uint64_t> fault_seed;  ///< --faults
   double run_budget_s = 0.0;
   unsigned jobs = 0;
   campaign::Isolation isolation =
@@ -204,7 +203,6 @@ Options parse(int argc, char** argv) {
     } else if (a == "--jobs") {
       o.jobs = static_cast<unsigned>(std::strtoul(need_value(i), nullptr, 0));
     } else if (a == "--faults") {
-      o.faults = true;
       o.fault_seed = std::strtoull(need_value(i), nullptr, 0);
     } else if (a == "--run-budget") {
       o.run_budget_s = std::strtod(need_value(i), nullptr);
@@ -310,110 +308,41 @@ void install_signal_handlers() {
 /// wait-state jitter on every slave. SPLIT stays off here because the
 /// pipelined TrafficMaster does not rework split transfers (the
 /// serialized ScriptedMaster does; see tests/ahb/test_faults.cpp).
-fault::SlaveFaultConfig cli_fault_rates() {
-  fault::SlaveFaultConfig rates;
-  rates.retry_rate = 0.02;
-  rates.error_rate = 0.005;
-  rates.jitter_rate = 0.05;
-  rates.max_extra_waits = 3;
-  return rates;
+constexpr fault::SlaveFaultConfig kCliFaultRates{
+    .retry_rate = 0.02, .error_rate = 0.005, .jitter_rate = 0.05, .max_extra_waits = 3};
+
+/// The CLI's testbench: o.masters traffic masters seeded `o.seed + 97*m`,
+/// o.slaves slaves (under --faults, behind the injector) and a non-fatal
+/// monitor. `metrics` feeds the injector and the monitor (null = off).
+campaign::PaperTestbench::Config testbench_config(
+    const Options& o, telemetry::MetricsRegistry* metrics,
+    const power::AhbPowerEstimator::Config& est) {
+  std::vector<std::uint64_t> seeds;
+  for (unsigned m = 0; m < o.masters; ++m) seeds.push_back(o.seed + 97 * m);
+  return {.policy = o.policy,
+          .wait_states = o.waits,
+          .master_seeds = std::move(seeds),
+          .slaves = o.slaves,
+          .faults = o.fault_seed ? std::optional(fault::FaultPlan::uniform(
+                                       *o.fault_seed, kCliFaultRates, o.slaves))
+                                 : std::nullopt,
+          .fault_metrics = metrics,
+          .monitor = ahb::BusMonitor::Config{.fatal = false, .metrics = metrics},
+          .power = est};
 }
-
-/// The injector for one run, or null when --faults is off. The caller
-/// keeps it alive for the whole simulation: slave hooks point into it.
-std::unique_ptr<fault::FaultInjector> make_injector(
-    const Options& o, telemetry::MetricsRegistry* metrics) {
-  if (!o.faults) return nullptr;
-  return std::make_unique<fault::FaultInjector>(
-      fault::FaultPlan::uniform(o.fault_seed, cli_fault_rates(), o.slaves),
-      metrics);
-}
-
-/// The CLI's paper testbench: the default master, o.masters traffic
-/// masters, o.slaves memory slaves (behind the fault injector under
-/// --faults), a non-fatal protocol monitor and the power estimator.
-/// `metrics` feeds the injector and the monitor; null leaves them off.
-struct PaperRig {
-  PaperRig(const Options& o, telemetry::MetricsRegistry* metrics,
-           const power::AhbPowerEstimator::Config& est_cfg)
-      : clk(&top, "clk", sim::SimTime::ns(kClockNs), 0.5,
-            sim::SimTime::ns(kClockNs)),
-        bus(&top, "ahb", clk, ahb::AhbBus::Config{.policy = o.policy}),
-        dm(&top, "default_master", bus) {
-    for (unsigned m = 0; m < o.masters; ++m) {
-      masters.push_back(std::make_unique<ahb::TrafficMaster>(
-          &top, "m" + std::to_string(m + 1), bus,
-          ahb::TrafficMaster::Config{
-              .addr_base = 0x1000u * (m % o.slaves),
-              .addr_range = 0x1000,
-              .seed = o.seed + 97 * m,
-          }));
-    }
-    injector = make_injector(o, metrics);
-    for (unsigned s = 0; s < o.slaves; ++s) {
-      slaves.push_back(std::make_unique<ahb::MemorySlave>(
-          &top, "s" + std::to_string(s + 1), bus,
-          ahb::MemorySlave::Config{
-              .base = 0x1000u * s,
-              .size = 0x1000,
-              .wait_states = o.waits,
-              .fault_hook = injector ? injector->hook(s) : ahb::FaultHook{}}));
-    }
-    bus.finalize();
-    mon = std::make_unique<ahb::BusMonitor>(
-        &top, "monitor", bus,
-        ahb::BusMonitor::Config{.fatal = false, .metrics = metrics});
-    est = std::make_unique<power::AhbPowerEstimator>(&top, "power", bus, est_cfg);
-  }
-
-  sim::Kernel kernel;
-  sim::Module top{nullptr, "top"};
-  sim::Clock clk;
-  ahb::AhbBus bus;
-  ahb::DefaultMaster dm;
-  std::vector<std::unique_ptr<ahb::TrafficMaster>> masters;
-  /// Null unless --faults; outlives the slaves whose hooks point into it.
-  std::unique_ptr<fault::FaultInjector> injector;
-  std::vector<std::unique_ptr<ahb::MemorySlave>> slaves;
-  std::unique_ptr<ahb::BusMonitor> mon;
-  std::unique_ptr<power::AhbPowerEstimator> est;
-};
 
 /// One --sweep configuration as a campaign spec: the CLI topology with
-/// a given arbitration policy and wait-state count, run for o.cycles.
-campaign::RunSpec sweep_spec(const Options& o, ahb::ArbitrationPolicy policy,
+/// a given arbitration policy and wait-state count, run for run.cycles.
+campaign::RunSpec sweep_spec(Options run, ahb::ArbitrationPolicy policy,
                              unsigned waits) {
-  Options run = o;
   run.policy = policy;
   run.waits = waits;
   const std::string name =
       std::string(policy == ahb::ArbitrationPolicy::kFixedPriority ? "fixed"
                                                                    : "rr") +
       "/w" + std::to_string(waits);
-  return {name, [run] {
-            PaperRig rig(run, nullptr,
-                         power::AhbPowerEstimator::Config{.txn_trace = true});
-            rig.kernel.run(sim::SimTime::ns(kClockNs) *
-                           static_cast<std::int64_t>(run.cycles));
-            power::AhbPowerEstimator& est = *rig.est;
-            est.flush_telemetry();
-
-            campaign::PowerReport r;
-            r.total_energy = est.total_energy();
-            r.blocks = est.block_totals();
-            r.cycles = est.fsm().cycles();
-            r.transfers = rig.mon->stats().transfers;
-            r.metrics["data_share"] = power::data_transfer_share(est.fsm());
-            r.metrics["arb_share"] = power::arbitration_share(est.fsm());
-            const power::TransactionTracer& txn = *est.txn_tracer();
-            r.bus_energy_j = txn.attribution().bus_energy();
-            for (unsigned m = 0; m <= run.masters; ++m) {
-              r.attribution.push_back(
-                  {txn.attribution().master_energy()[m],
-                   txn.master_txns()[m]});
-            }
-            return r;
-          }};
+  return campaign::PaperTestbench::spec(
+      name, testbench_config(run, nullptr, {.txn_trace = true}), run.cycles);
 }
 
 /// Fingerprint of everything that determines a sweep's results. A
@@ -427,8 +356,8 @@ std::uint64_t sweep_fingerprint(const Options& o,
                       ";masters=" + std::to_string(o.masters) +
                       ";slaves=" + std::to_string(o.slaves) +
                       ";seed=" + std::to_string(o.seed) + ";faults=" +
-                      (o.faults ? std::to_string(o.fault_seed)
-                                : std::string("off")) +
+                      (o.fault_seed ? std::to_string(*o.fault_seed)
+                                    : std::string("off")) +
                       ";run_budget=" + std::to_string(o.run_budget_s) +
                       ";specs=";
   for (const campaign::RunSpec& s : specs) {
@@ -703,27 +632,25 @@ int main(int argc, char** argv) {
 
   telemetry::MetricsRegistry metrics;
   const bool telemetry_on = !o.telemetry_dir.empty();
-  PaperRig rig(o, telemetry_on ? &metrics : nullptr,
-               power::AhbPowerEstimator::Config{
-                   .telemetry_window_cycles =
-                       telemetry_on || !o.csv.empty() ? o.window_cycles : 0,
-                   .txn_trace = o.txn_trace,
-                   .metrics = telemetry_on ? &metrics : nullptr});
-  sim::Kernel& kernel = rig.kernel;
-  kernel.set_cancel_flag(&g_interrupted);
+  campaign::PaperTestbench tb(testbench_config(
+      o, telemetry_on ? &metrics : nullptr,
+      {.telemetry_window_cycles = telemetry_on || !o.csv.empty() ? o.window_cycles : 0,
+       .txn_trace = o.txn_trace,
+       .metrics = telemetry_on ? &metrics : nullptr}));
+  tb.kernel.set_cancel_flag(&g_interrupted);
   if (o.run_budget_s > 0.0) {
-    kernel.set_budget(sim::RunBudget{.max_wall_seconds = o.run_budget_s});
+    tb.kernel.set_budget(sim::RunBudget{.max_wall_seconds = o.run_budget_s});
   }
-  const ahb::BusMonitor& mon = *rig.mon;
-  power::AhbPowerEstimator& est = *rig.est;
+  const ahb::BusMonitor& mon = *tb.monitor;
+  power::AhbPowerEstimator& est = *tb.est;
+  const std::vector<std::string> names = tb.master_names();
   std::unique_ptr<ahb::TraceRecorder> recorder;
   if (!o.trace_out.empty()) {
-    recorder = std::make_unique<ahb::TraceRecorder>(&rig.top, "recorder", rig.bus);
+    recorder = std::make_unique<ahb::TraceRecorder>(&tb.top, "recorder", tb.bus);
   }
 
   try {
-    kernel.run(sim::SimTime::ns(kClockNs) *
-               static_cast<std::int64_t>(o.cycles));
+    tb.run_cycles(o.cycles);
   } catch (const sim::BudgetExceededError& e) {
     std::fprintf(stderr, "run aborted: %s\n", e.what());
     return 3;
@@ -733,7 +660,7 @@ int main(int argc, char** argv) {
   }
   est.flush_telemetry();
 
-  const double secs = kernel.now().to_seconds();
+  const double secs = tb.kernel.now().to_seconds();
   std::printf("ahbpower: %llu cycles @ 100 MHz | %llu transfers | %s | avg %s | "
               "data %.1f%% arb %.1f%% | %zu violations\n",
               static_cast<unsigned long long>(est.fsm().cycles()),
@@ -743,11 +670,11 @@ int main(int argc, char** argv) {
               100.0 * power::data_transfer_share(est.fsm()),
               100.0 * power::arbitration_share(est.fsm()),
               mon.violations().size());
-  if (rig.injector) {
-    const fault::FaultInjector::Stats& fs = rig.injector->stats();
+  if (tb.injector) {
+    const fault::FaultInjector::Stats& fs = tb.injector->stats();
     std::printf("faults (seed %llu): %llu transfers hit | %llu retries | "
                 "%llu errors | %llu jitter cycles\n",
-                static_cast<unsigned long long>(o.fault_seed),
+                static_cast<unsigned long long>(*o.fault_seed),
                 static_cast<unsigned long long>(fs.retries + fs.errors +
                                                 fs.splits + fs.jitter_hits),
                 static_cast<unsigned long long>(fs.retries),
@@ -756,8 +683,9 @@ int main(int argc, char** argv) {
   }
 
   if (telemetry_on) {
-    const telemetry::ExportMeta meta{.tick_ns = static_cast<double>(kClockNs),
-                                     .process_name = "ahbpower"};
+    const telemetry::ExportMeta meta{
+        .tick_ns = static_cast<double>(tb.clk.period().nanoseconds()),
+        .process_name = "ahbpower"};
     emit_or_die([&] {
       telemetry::write_window_csv_file(
           output_path(o.telemetry_dir, "power_windows.csv"), *est.windows(),
@@ -773,11 +701,8 @@ int main(int argc, char** argv) {
       const power::TransactionTracer& txn = *est.txn_tracer();
       // Per-master span tracks named after the module hierarchy.
       telemetry::ExportMeta txn_meta = meta;
-      txn_meta.threads.emplace_back(telemetry::txn_track_tid(0),
-                                    "default_master");
-      for (unsigned m = 0; m < o.masters; ++m) {
-        txn_meta.threads.emplace_back(telemetry::txn_track_tid(m + 1),
-                                      "m" + std::to_string(m + 1));
+      for (unsigned m = 0; m < names.size(); ++m) {
+        txn_meta.threads.emplace_back(telemetry::txn_track_tid(m), names[m]);
       }
       emit_or_die([&] {
         telemetry::write_txn_csv_file(output_path(o.telemetry_dir, "txns.csv"),
@@ -794,12 +719,12 @@ int main(int argc, char** argv) {
       // Run-level and scheduler-level context beside the power metrics.
       metrics.counter("run.transfers").add(mon.stats().transfers);
       metrics.counter("run.protocol_violations").add(mon.violations().size());
-      metrics.counter("sim.deltas").add(kernel.delta_count());
+      metrics.counter("sim.deltas").add(tb.kernel.delta_count());
       metrics.counter("sim.processes_executed")
-          .add(kernel.stats().processes_executed);
+          .add(tb.kernel.stats().processes_executed);
       metrics.counter("sim.timed_notifications")
-          .add(kernel.stats().timed_notifications);
-      metrics.counter("sim.time_advances").add(kernel.stats().time_advances);
+          .add(tb.kernel.stats().timed_notifications);
+      metrics.counter("sim.time_advances").add(tb.kernel.stats().time_advances);
       metrics.gauge("run.simulated_seconds").set(secs);
       emit_or_die([&] {
         telemetry::write_metrics_json_file(
@@ -824,10 +749,6 @@ int main(int argc, char** argv) {
     std::fputs(power::format_block_breakdown(est.block_totals()).c_str(), stdout);
   }
   if (o.attribution) {
-    std::vector<std::string> names{"default_master"};
-    for (unsigned m = 0; m < o.masters; ++m) {
-      names.push_back("m" + std::to_string(m + 1));
-    }
     std::putchar('\n');
     std::fputs(power::format_master_attribution(est.fsm(), names).c_str(), stdout);
   }
@@ -838,7 +759,7 @@ int main(int argc, char** argv) {
   if (!o.csv.empty()) {
     emit_or_die([&] {
       std::ostringstream csv;
-      power::write_trace_csv(csv, *est.windows(), rig.clk.period());
+      power::write_trace_csv(csv, *est.windows(), tb.clk.period());
       telemetry::AtomicFile::publish(o.csv, csv.view());
     });
     std::printf("\npower trace written to %s\n", o.csv.c_str());
