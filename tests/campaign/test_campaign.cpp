@@ -19,12 +19,15 @@ namespace ahbp::campaign {
 namespace {
 
 /// A complete small AHB simulation as a spec: the paper testbench with
-/// one traffic master and two slaves; the whole system lives and dies
-/// on the executing thread. Seeded, so identical per rerun.
+/// two traffic masters, master m sweeping slave m, so the decoder
+/// switches between both slaves; the whole system lives and dies on the
+/// executing thread. Seeded, so identical per rerun.
 RunSpec ahb_spec(std::uint64_t seed, unsigned wait_states) {
-  return PaperTestbench::spec(
-      "ahb/s" + std::to_string(seed),
-      {.wait_states = wait_states, .master_seeds = {seed}, .slaves = 2}, 500);
+  return PaperTestbench::spec("ahb/s" + std::to_string(seed),
+                              {.wait_states = wait_states,
+                               .master_seeds = {seed, seed + 1},
+                               .slaves = 2},
+                              500);
 }
 
 std::vector<RunSpec> sample_specs() {

@@ -145,13 +145,13 @@ TEST(FaultInjector, StatsAndMetricsCountVerdicts) {
 }
 
 /// A complete faulted AHB simulation as a campaign spec: the paper
-/// testbench with one traffic master on two fault-injected slaves.
-/// Everything is seeded, so the run is a pure function of (seed,
-/// fault_seed).
+/// testbench with two traffic masters on two fault-injected slaves
+/// (master m sweeps slave m), so both injector slots decide. Everything
+/// is seeded, so the run is a pure function of (seed, fault_seed).
 campaign::RunSpec faulted_spec(std::uint64_t seed, std::uint64_t fault_seed) {
   return {"faulted/s" + std::to_string(seed), [seed, fault_seed] {
             campaign::PaperTestbench tb(
-                {.master_seeds = {seed},
+                {.master_seeds = {seed, seed + 1},
                  .slaves = 2,
                  .faults = FaultPlan::uniform(
                      fault_seed,
@@ -165,6 +165,10 @@ campaign::RunSpec faulted_spec(std::uint64_t seed, std::uint64_t fault_seed) {
             r.metrics["fault_retries"] = static_cast<double>(s.retries);
             r.metrics["fault_errors"] = static_cast<double>(s.errors);
             r.metrics["fault_jitter_cycles"] = static_cast<double>(s.jitter_cycles);
+            for (unsigned i = 0; i < 2; ++i) {
+              r.metrics["s" + std::to_string(i + 1) + "_retries"] =
+                  static_cast<double>(tb.slaves[i]->stats().retries);
+            }
             return r;
           }};
 }
@@ -192,8 +196,12 @@ TEST(FaultInjector, SameSeedBitIdenticalAcrossThreadCounts) {
               parallel[i].report.metrics.at("fault_errors"));
     EXPECT_EQ(serial[i].report.metrics.at("fault_jitter_cycles"),
               parallel[i].report.metrics.at("fault_jitter_cycles"));
-    // And the schedule actually injected something.
-    EXPECT_GT(serial[i].report.metrics.at("fault_retries"), 0.0);
+    // And the schedule actually injected something, on both slaves.
+    EXPECT_GT(serial[i].report.metrics.at("s1_retries"), 0.0);
+    EXPECT_GT(serial[i].report.metrics.at("s2_retries"), 0.0);
+    EXPECT_EQ(serial[i].report.metrics.at("s1_retries") +
+                  serial[i].report.metrics.at("s2_retries"),
+              serial[i].report.metrics.at("fault_retries"));
   }
 }
 
